@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .checks import (
     DEGENERATE,
@@ -33,9 +32,13 @@ from .checks import (
     REL_TOL_DERIVED,
     VIOLATED,
 )
-from .cycles import Cycle, complement_cycle, enumerate_cycles
+from .cycles import (
+    Cycle, complement_cycle, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+)
 from .errors import DegenerateError, UsageError
-from .geometry import Configuration, FLOAT, MODES, RATIONAL, random_config, squared_distance
+from .geometry import (
+    Configuration, FLOAT, MODES, RATIONAL, ordered_sum, pair_weights, random_config,
+)
 from .prng import MASK64, mix64
 
 K4_LOWER = 0.5
@@ -96,25 +99,6 @@ class DualityReport:
     rows: tuple
 
 
-def _pair_weights(points) -> dict:
-    w = {}
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[(i, j)] = squared_distance(points[i], points[j])
-    return w
-
-
-def _cycle_weight_from(pairs: dict, cycle: Cycle):
-    o = cycle.order
-    n = len(o)
-    total = 0
-    for k in range(n):
-        a, b = o[k], o[(k + 1) % n]
-        total += pairs[(a, b) if a < b else (b, a)]
-    return total
-
-
 def _classify_k4(w_e, w_k, tolerance: float, mode: str):
     """Verdict for 1/2 w(K4) <= w(E) < w(K4) on one cycle."""
     if w_k == 0:
@@ -145,15 +129,9 @@ def _classify_k5(w_e, w_k, tolerance: float, mode: str):
         return None, DEGENERATE
     ratio = w_e / w_k
     if mode == RATIONAL:
+        # t^2 == 5 w_k^2 would make sqrt(5) rational, so no equality case
         t = 10 * w_e - 5 * w_k
-        inside = t * t < 5 * w_k * w_k
-        if inside:
-            return ratio, HOLDS
-        if t * t == 5 * w_k * w_k:
-            # sqrt(5) w_k rational forces w_k = 0, so this never fires;
-            # kept for completeness of the case split
-            return ratio, HOLDS_WITH_EQUALITY
-        return ratio, VIOLATED
+        return ratio, (HOLDS if t * t < 5 * w_k * w_k else VIOLATED)
     if ratio < K5_LOWER - tolerance or ratio > K5_UPPER + tolerance:
         return ratio, VIOLATED
     if abs(ratio - K5_LOWER) <= tolerance or abs(ratio - K5_UPPER) <= tolerance:
@@ -161,35 +139,42 @@ def _classify_k5(w_e, w_k, tolerance: float, mode: str):
     return ratio, HOLDS
 
 
-def _check_rows(config: Configuration, tolerance: float, config_id: int):
-    classify = _classify_k4 if config.n == 4 else _classify_k5
-    pairs = _pair_weights(config.points)
-    w_k = 0
-    for key in sorted(pairs):  # (i, j), i < j order: matches total_weight
-        w_k += pairs[key]
-    rows = []
-    for cycle in enumerate_cycles(config.n):
-        w_e = _cycle_weight_from(pairs, cycle)
-        ratio, verdict = classify(w_e, w_k, tolerance, config.mode)
-        rows.append(CycleRow(config_id, cycle, w_e, w_k - w_e, w_k, ratio, verdict))
-    return rows
+def _check_rows(configs, tolerance: float, keep_all: bool):
+    """Classify every cycle of each configuration, as a stream.
+
+    Each configuration becomes one pair-weight vector, and each cycle
+    weight a sum over its edge indices.  Verdict counts and ratio
+    extremes run as the rows go by (first value kept, replaced only on a
+    strict < or >, as ``min``/``max`` do).  A CycleRow is built only for
+    rows that are reported: all of them when ``keep_all``, otherwise the
+    violated and degenerate ones.  Config ids count from 0.
+    """
+    counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
+    lo = hi = None
+    kept = []
+    for config_id, config in enumerate(configs):
+        n, mode = config.n, config.mode
+        classify = _classify_k4 if n == 4 else _classify_k5
+        w = pair_weights(config.points)
+        w_k = ordered_sum(w)
+        for cycle, edges in zip(enumerate_cycles(n), cycle_edges(n)):
+            w_e = ordered_sum([w[e] for e in edges])
+            ratio, verdict = classify(w_e, w_k, tolerance, mode)
+            counts[verdict] += 1
+            if ratio is not None:
+                if lo is None or ratio < lo:
+                    lo = ratio
+                if hi is None or ratio > hi:
+                    hi = ratio
+            if keep_all or verdict in (VIOLATED, DEGENERATE):
+                kept.append(CycleRow(config_id, cycle, w_e, w_k - w_e, w_k, ratio, verdict))
+    return kept, counts, lo, hi
 
 
-def _aggregate(n, mode, tolerance, trials, all_rows, keep_all: bool) -> BoundReport:
-    checks = len(all_rows)
-    violations = sum(1 for r in all_rows if r.verdict == VIOLATED)
-    degenerate = sum(1 for r in all_rows if r.verdict == DEGENERATE)
-    equalities = sum(1 for r in all_rows if r.verdict == HOLDS_WITH_EQUALITY)
-    ratios = [r.ratio for r in all_rows if r.ratio is not None]
-    min_ratio = min(ratios) if ratios else None
-    max_ratio = max(ratios) if ratios else None
-    if keep_all:
-        kept = tuple(all_rows)
-    else:
-        kept = tuple(r for r in all_rows if r.verdict in (VIOLATED, DEGENERATE))
+def _aggregate(n, mode, tolerance, trials, kept, counts, min_ratio, max_ratio) -> BoundReport:
     return BoundReport(
-        n, mode, tolerance, trials, checks, violations, degenerate, equalities,
-        min_ratio, max_ratio, kept,
+        n, mode, tolerance, trials, sum(counts.values()), counts[VIOLATED],
+        counts[DEGENERATE], counts[HOLDS_WITH_EQUALITY], min_ratio, max_ratio, tuple(kept),
     )
 
 
@@ -203,8 +188,7 @@ def check_k4_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -
     _require_tolerance(tolerance)
     if config.n != 4:
         raise UsageError("K4 bounds need exactly 4 points")
-    rows = _check_rows(config, tolerance, 0)
-    return _aggregate(4, config.mode, tolerance, 1, rows, keep_all=True)
+    return _aggregate(4, config.mode, tolerance, 1, *_check_rows((config,), tolerance, True))
 
 
 def check_k5_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
@@ -212,8 +196,7 @@ def check_k5_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -
     _require_tolerance(tolerance)
     if config.n != 5:
         raise UsageError("K5 bounds need exactly 5 points")
-    rows = _check_rows(config, tolerance, 0)
-    return _aggregate(5, config.mode, tolerance, 1, rows, keep_all=True)
+    return _aggregate(5, config.mode, tolerance, 1, *_check_rows((config,), tolerance, True))
 
 
 def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityReport:
@@ -227,48 +210,31 @@ def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityRep
     _require_tolerance(tolerance)
     if config.n != 5:
         raise UsageError("duality needs exactly 5 points")
-    pairs = _pair_weights(config.points)
-    w_k = 0
-    for key in sorted(pairs):
-        w_k += pairs[key]
+    w_k = total_weight(config)
     if w_k == 0:
         raise DegenerateError("all points coincide; ratios are undefined")
     rows = []
     ok = True
     for cycle in enumerate_cycles(5):
         comp = complement_cycle(cycle)
-        r_e = _cycle_weight_from(pairs, cycle) / w_k
-        r_d = _cycle_weight_from(pairs, comp) / w_k
+        r_e = cycle_weight(config, cycle) / w_k
+        r_d = cycle_weight(config, comp) / w_k
         residual = r_e + r_d - 1
         if config.mode == RATIONAL:
-            if residual != 0:
-                ok = False
-            lo_e = _attains(r_e, "lower", 0, RATIONAL)
-            hi_e = _attains(r_e, "upper", 0, RATIONAL)
-            lo_d = _attains(r_d, "lower", 0, RATIONAL)
-            hi_d = _attains(r_d, "upper", 0, RATIONAL)
+            # sqrt(5) is irrational, so no rational ratio attains a K5 bound
+            lo_e = hi_e = False
+            ok = ok and residual == 0
         else:
-            if abs(residual) > tolerance:
-                ok = False
-            lo_e = _attains(r_e, "lower", tolerance, FLOAT)
-            hi_e = _attains(r_e, "upper", tolerance, FLOAT)
-            lo_d = _attains(r_d, "lower", tolerance, FLOAT)
-            hi_d = _attains(r_d, "upper", tolerance, FLOAT)
-        # bound exchange: E at the bottom iff its complement at the top
-        if lo_e != hi_d or hi_e != lo_d:
-            ok = False
+            lo_e, hi_e = _attains(r_e, tolerance)
+            # bound exchange: E at the bottom iff its complement at the top
+            ok = ok and abs(residual) <= tolerance and (hi_e, lo_e) == _attains(r_d, tolerance)
         rows.append(DualityRow(cycle, comp, r_e, r_d, residual, lo_e, hi_e))
     return DualityReport(config.mode, tolerance, HOLDS if ok else VIOLATED, tuple(rows))
 
 
-def _attains(ratio, which: str, tolerance, mode: str) -> bool:
-    if mode == RATIONAL:
-        # exact attainment of an irrational bound is impossible for
-        # rational ratios; report strict equality of the squared form
-        t = 10 * ratio - 5
-        return t * t == 5 and (t < 0) == (which == "lower")
-    bound = K5_LOWER if which == "lower" else K5_UPPER
-    return abs(ratio - bound) <= tolerance
+def _attains(ratio, tolerance: float) -> tuple:
+    """Whether a float ratio sits at the (lower, upper) K5 bound."""
+    return abs(ratio - K5_LOWER) <= tolerance, abs(ratio - K5_UPPER) <= tolerance
 
 
 def fuzz(
@@ -292,8 +258,7 @@ def fuzz(
         raise UsageError("bound checks exist for n = 4 and n = 5 only")
     if mode not in MODES:
         raise UsageError(f"unknown scalar mode {mode!r}")
-    all_rows = []
-    for i in range(trials):
-        config = random_config(mix64((seed + i) & MASK64), n, dim, mode)
-        all_rows.extend(_check_rows(config, tolerance, i))
-    return _aggregate(n, mode, tolerance, trials, all_rows, keep_all=False)
+    configs = (
+        random_config(mix64((seed + i) & MASK64), n, dim, mode) for i in range(trials)
+    )
+    return _aggregate(n, mode, tolerance, trials, *_check_rows(configs, tolerance, False))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +75,17 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for every --tol: a finite, positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 # --- gen --------------------------------------------------------------
 
 
@@ -106,34 +118,28 @@ def _cmd_gen(args) -> int:
 
 
 def _bounds_exit(report, duality_report=None) -> int:
-    violated = report.violations > 0
-    if duality_report is not None and duality_report.verdict == VIOLATED:
-        violated = True
-    if violated:
+    if report.violations or (duality_report is not None and duality_report.verdict == VIOLATED):
         return 1
-    if report.degenerate > 0:
-        return 3
-    return 0
+    return 3 if report.degenerate else 0
+
+
+def _row_json(r) -> dict:
+    return {
+        "cycle": str(r.cycle),
+        "wE": _jsonable(r.w_cycle),
+        "wD": _jsonable(r.w_complement),
+        "wK": _jsonable(r.w_total),
+        "ratio": _jsonable(r.ratio),
+        "verdict": r.verdict,
+    }
 
 
 def _bounds_json_lines(report, duality_report=None) -> str:
     """One JSON object per cycle row, then a summary object."""
-    lines = []
-    for r in report.rows:
-        lines.append(
-            json.dumps(
-                {
-                    "config_id": r.config_id,
-                    "cycle": str(r.cycle),
-                    "wE": _jsonable(r.w_cycle),
-                    "wD": _jsonable(r.w_complement),
-                    "wK": _jsonable(r.w_total),
-                    "ratio": _jsonable(r.ratio),
-                    "verdict": r.verdict,
-                },
-                sort_keys=True,
-            )
-        )
+    lines = [
+        json.dumps({"config_id": r.config_id, **_row_json(r)}, sort_keys=True)
+        for r in report.rows
+    ]
     if duality_report is not None:
         for r in duality_report.rows:
             lines.append(
@@ -334,7 +340,10 @@ def _iterate_config(args) -> Configuration:
 
 def _cmd_iterate(args) -> int:
     config = _iterate_config(args)
-    e_cycle = canonicalize([int(t) for t in args.cycle.split(",")])
+    try:
+        e_cycle = canonicalize([int(t) for t in args.cycle.split(",")])
+    except ValueError:
+        raise UsageError(f"--cycle takes comma-separated vertices, got {args.cycle!r}") from None
     if e_cycle.n != 5:
         raise UsageError("--cycle must list the 5 vertices")
     tr = trace(config, e_cycle, args.steps)
@@ -560,17 +569,7 @@ def _cmd_pentagon(args) -> int:
             "violations": violations,
         }
         if report is not None:
-            obj["rows"] = [
-                {
-                    "cycle": str(r.cycle),
-                    "wE": _jsonable(r.w_cycle),
-                    "wD": _jsonable(r.w_complement),
-                    "wK": _jsonable(r.w_total),
-                    "ratio": _jsonable(r.ratio),
-                    "verdict": r.verdict,
-                }
-                for r in report.rows
-            ]
+            obj["rows"] = [_row_json(r) for r in report.rows]
         if check is not None:
             obj["check"] = {
                 "lower_target": bounds_mod.K5_LOWER,
@@ -635,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p.add_argument("--tol", type=float, default=REL_TOL_DERIVED)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
     p.add_argument("--duality", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_verify, seed=0)
@@ -646,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p.add_argument("--pairing", choices=("0", "1", "2", "all"), default="all")
-    p.add_argument("--tol", type=float, default=REL_TOL_DERIVED)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
     _add_common(p)
     p.set_defaults(func=_cmd_identity, seed=0)
 
@@ -657,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p.add_argument("--cycle", default="0,1,2,3,4")
     p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--tol", type=float, default=REL_TOL_DERIVED)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
     _add_common(p)
     p.set_defaults(func=_cmd_iterate)
 
@@ -683,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--check", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     _add_common(p, seed=False, mode=False)
     p.set_defaults(func=_cmd_pentagon)
 

@@ -9,6 +9,7 @@ starts at vertex 0 and its second entry is smaller than its last
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -69,6 +70,9 @@ def canonicalize(vertex_sequence) -> Cycle:
     return Cycle(rot)
 
 
+# Both tables are cached per n; n is capped at 10, so at most eight
+# entries each, and every entry is an immutable tuple.
+@functools.lru_cache(maxsize=None)
 def enumerate_cycles(n: int) -> tuple:
     """All (n-1)!/2 distinct Hamiltonian cycles on n vertices.
 
@@ -81,6 +85,24 @@ def enumerate_cycles(n: int) -> tuple:
     for perm in itertools.permutations(range(1, n)):
         if perm[0] < perm[-1]:
             out.append(Cycle((0,) + perm))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def cycle_edges(n: int) -> tuple:
+    """Edge indices of each cycle of ``enumerate_cycles(n)``, in that order.
+
+    Entry k lists the indices into ``pair_weights(points)`` of cycle k's
+    edges in traversal order, so summing those pair weights in list
+    order gives exactly ``cycle_weight``.
+    """
+    pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
+    out = []
+    for cycle in enumerate_cycles(n):
+        o = cycle.order
+        out.append(tuple(
+            pair_index[(a, b) if a < b else (b, a)] for a, b in zip(o, o[1:] + o[:1])
+        ))
     return tuple(out)
 
 

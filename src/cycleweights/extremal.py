@@ -20,9 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import K5_LOWER, K5_UPPER
-from .cycles import Cycle, canonicalize, cycle_weight, enumerate_cycles, total_weight
+from .cycles import (
+    Cycle, canonicalize, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+)
 from .errors import DegenerateError, UsageError
-from .geometry import Configuration, FLOAT, normalized_points, random_config
+from .geometry import (
+    Configuration, FLOAT, normalized_points, ordered_sum, pair_weights, random_config,
+)
 from .prng import MASK64, mix64
 
 MAXIMIZE = "maximize"
@@ -88,25 +92,10 @@ def ratio(config: Configuration, cycle: Cycle) -> float:
     return cycle_weight(config, cycle) / w_k
 
 
-def _sq(p, q) -> float:
-    s = 0.0
-    for a, b in zip(p, q):
-        d = a - b
-        s += d * d
-    return s
-
-
 def _identity_ratio(pts) -> float:
-    n = len(pts)
-    w_e = 0.0
-    for k in range(n):
-        w_e += _sq(pts[k], pts[(k + 1) % n])
-    w_k = 0.0
-    for i in range(n):
-        pi = pts[i]
-        for j in range(i + 1, n):
-            w_k += _sq(pi, pts[j])
-    return w_e / w_k
+    w = pair_weights(pts)
+    # the identity cycle 0, 1, ..., n-1 is first in canonical order
+    return ordered_sum([w[e] for e in cycle_edges(len(pts))[0]]) / ordered_sum(w)
 
 
 def optimize(
@@ -216,11 +205,12 @@ def conjecture_table(
 
 
 def _extreme_cycle(config: Configuration, minimize: bool):
-    w_k = total_weight(config)
+    w = pair_weights(config.points)
+    w_k = ordered_sum(w)
     best_cycle = None
     best_value = None
-    for cycle in enumerate_cycles(config.n):
-        v = cycle_weight(config, cycle) / w_k
+    for cycle, edges in zip(enumerate_cycles(config.n), cycle_edges(config.n)):
+        v = ordered_sum([w[e] for e in edges]) / w_k
         if best_value is None or ((v < best_value) if minimize else (v > best_value)):
             best_cycle, best_value = cycle, v
     return best_cycle, best_value

@@ -71,19 +71,45 @@ def midpoint(p: Point, q: Point) -> Point:
     return tuple((a + b) / 2 for a, b in zip(p, q))
 
 
-def pairwise_weight(points) -> Scalar:
-    """Total squared-distance weight over all unordered point pairs.
+def pair_weights(points) -> list:
+    """Squared distance of every unordered pair, in (i, j), i < j order.
 
-    Pairs are accumulated in (i, j), i < j order; every caller that
-    needs bit-identical totals relies on that order.
+    This is the one pair order of the package.  w(K_n) is the ordered
+    sum of this list, and a cycle's weight is the ordered sum of its
+    entries at ``cycles.cycle_edges``, which equals ``cycle_weight`` bit
+    for bit.
     """
-    total = 0
+    if len({len(p) for p in points}) > 1:
+        raise UsageError("dimension mismatch between points")
+    out = []
     n = len(points)
     for i in range(n):
         pi = points[i]
         for j in range(i + 1, n):
-            total += squared_distance(pi, points[j])
+            total = 0
+            for a, b in zip(pi, points[j]):
+                d = a - b
+                total += d * d
+            out.append(total)
+    return out
+
+
+def ordered_sum(values) -> Scalar:
+    """Left-to-right ``+=`` from 0: the one summation order for weights.
+
+    Not ``sum()``: from Python 3.12 on, ``sum()`` of floats is
+    compensated, so its bits would differ from this loop's and between
+    Python versions.
+    """
+    total = 0
+    for v in values:
+        total += v
     return total
+
+
+def pairwise_weight(points) -> Scalar:
+    """Total squared-distance weight over all unordered point pairs."""
+    return ordered_sum(pair_weights(points))
 
 
 @dataclass(frozen=True)

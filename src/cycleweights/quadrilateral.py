@@ -164,13 +164,8 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
     equal by the parallelogram structure, so one residual per segment
     suffices).
     """
+    l1, l2, l3, l4, l5, l6 = identity_terms(quad).l_sq
     a, b, c, d = quad.ordered()
-    l1 = squared_distance(a, b)
-    l2 = squared_distance(b, c)
-    l3 = squared_distance(c, d)
-    l4 = squared_distance(d, a)
-    l5 = squared_distance(a, c)
-    l6 = squared_distance(b, d)
     m1, m2 = midpoint(a, b), midpoint(b, c)
     m4 = midpoint(d, a)
     m5, m6 = midpoint(a, c), midpoint(b, d)
@@ -214,21 +209,17 @@ def fuzz_identity(
     """
     if trials < 1:
         raise UsageError("trials must be at least 1")
-    if not tolerance > 0:
-        raise UsageError("tolerance must be positive")
     checks = violations = 0
     worst = 0.0
     for i in range(trials):
         config = random_config(mix64((seed + i) & MASK64), 4, dim, mode)
         for pairing in (0, 1, 2):
-            t = identity_terms(QuadLabeling(config.points, pairing, mode))
+            report = verify_identity(QuadLabeling(config.points, pairing, mode), tolerance)
+            t = report.terms
             checks += 1
             rel = float(relative_residual(t.residual, t.lhs, t.rhs))
             if rel > worst:
                 worst = rel
-            if mode == RATIONAL:
-                if t.residual != 0:
-                    violations += 1
-            elif abs(t.residual) > tolerance * (1 + abs(t.lhs) + abs(t.rhs)):
+            if report.verdict == VIOLATED:
                 violations += 1
     return IdentityFuzzReport(trials, dim, mode, tolerance, checks, violations, worst)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,19 @@ def test_fuzz_validation():
         fuzz(1, 10, 4, mode="decimal")
     with pytest.raises(UsageError):
         fuzz(1, 10, 4, tolerance=-1.0)
+
+
+def test_fuzz_memory_does_not_grow_with_trials():
+    tracemalloc.start()
+    try:
+        # the first run fills the cycle tables and the interpreter's free
+        # lists, which stay allocated; later peaks count what a run holds
+        fuzz(3, 2000, 5)
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.reset_peak()
+            fuzz(3, trials, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]

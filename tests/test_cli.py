@@ -346,6 +346,22 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("iterate", "--polygon", "--tol", "nan"),
+        ("iterate", "--polygon", "--tol", "-1"),
+        ("verify", "--n", "5", "--fuzz", "3", "--tol", "inf"),
+        ("pentagon", "--check", "--tol", "nan"),
+        ("iterate", "--polygon", "--cycle", "a,b"),
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("gen", "--seed", "5", "--n", "6", "--dim", "3"),
         ("verify", "--fuzz", "50", "--n", "5", "--seed", "9"),
         ("identity", "--fuzz", "50", "--seed", "9", "--dim", "3", "--json"),

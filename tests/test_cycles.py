@@ -11,12 +11,21 @@ from cycleweights.cycles import (
     canonicalize,
     complement_cycle,
     complement_weight,
+    cycle_edges,
     cycle_weight,
     enumerate_cycles,
     total_weight,
 )
 from cycleweights.errors import UsageError
-from cycleweights.geometry import Configuration, RATIONAL, random_config, squared_distance
+from cycleweights.geometry import (
+    Configuration,
+    FLOAT,
+    RATIONAL,
+    ordered_sum,
+    pair_weights,
+    random_config,
+    squared_distance,
+)
 
 UNIT_SQUARE = Configuration(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 RSQUARE = Configuration(((0, 0), (1, 0), (1, 1), (0, 1)), RATIONAL)
@@ -127,6 +136,23 @@ def test_cycle_plus_complement_is_total_exactly(seed):
         assert cycle_weight(config, cy) + complement_weight(config, cy) == total_weight(
             config
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.sampled_from([FLOAT, RATIONAL]),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_pair_vector_kernel_matches_cycle_weight_exactly(n, mode, dim, seed):
+    config = random_config(seed, n, dim, mode)
+    w = pair_weights(config.points)
+    assert ordered_sum(w) == total_weight(config)
+    cycles = enumerate_cycles(n)
+    assert len(cycle_edges(n)) == len(cycles)
+    for cycle, edges in zip(cycles, cycle_edges(n)):
+        assert ordered_sum([w[e] for e in edges]) == cycle_weight(config, cycle)
 
 
 def test_complement_cycle_example_and_involution():
