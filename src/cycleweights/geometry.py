@@ -229,6 +229,12 @@ def normalize(config: Configuration) -> Configuration:
 # Rows hold d whitespace-separated tokens; a token is any decimal literal
 # (float mode) or an integer/fraction/decimal literal (rational mode).
 
+# Longest rational-mode token, and largest exponent magnitude in one.  At
+# this size the exact weights and ratios of a 5-point, 3-D file stay within
+# the interpreter's limit on the digits of an int rendered as text (4300 by
+# default), and Fraction() never expands an exponent into millions of digits.
+MAX_RATIONAL_TOKEN = 64
+
 _HEADER_RE = re.compile(r"^points\s+(\d+)\s+dim\s+(\d+)\s+mode\s+(\w+)$")
 
 
@@ -266,6 +272,12 @@ def parse_points(text: str) -> Configuration:
 def _parse_token(token: str, mode: str) -> Scalar:
     try:
         if mode == RATIONAL:
+            exponent = token.lower().partition("e")[2]
+            if len(token) > MAX_RATIONAL_TOKEN or abs(int(exponent or 0)) > MAX_RATIONAL_TOKEN:
+                raise UsageError(
+                    f"rational token {token!r} is too large: at most {MAX_RATIONAL_TOKEN}"
+                    f" characters and an exponent of at most {MAX_RATIONAL_TOKEN} in size"
+                )
             return Fraction(token)
         v = float(token)
     except (ValueError, ZeroDivisionError):

@@ -1,9 +1,19 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cycleweights
 from cycleweights.cli import run
+from cycleweights.geometry import MAX_RATIONAL_TOKEN
 
 SQUARE_FILE = "points 4 dim 2 mode float\n0 0\n1 0\n1 1\n0 1\n"
 
@@ -141,6 +151,9 @@ def test_verify_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("points 3 dim 2 mode float\n0 0\n1 0\n0 1\n")
     assert invoke(capsys, "verify", "--in", str(bad))[0] == 2  # n=3 unsupported
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe points")
+    assert invoke(capsys, "verify", "--in", str(binary))[0] == 2  # not UTF-8
 
 
 def test_identity_file_report(capsys, tmp_path):
@@ -351,6 +364,9 @@ def test_help_exits_zero(capsys):
         ("verify", "--n", "5", "--fuzz", "3", "--tol", "inf"),
         ("pentagon", "--check", "--tol", "nan"),
         ("iterate", "--polygon", "--cycle", "a,b"),
+        ("gen", "--out", "/nonexistent-dir/x"),
+        ("optimize", "--conjecture", "--n-min", "6", "--n-max", "5"),
+        ("sequence", "--terms", "7144"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
@@ -377,3 +393,131 @@ def test_repeat_invocations_byte_identical(capsys, argv):
     code2, out2, _ = invoke(capsys, *argv)
     assert code1 == code2
     assert out1 == out2
+
+
+def _rational_quad(tmp_path, token):
+    path = tmp_path / "quad.txt"
+    path.write_text(f"points 4 dim 2 mode rational\n0 0\n{token} 0\n1 1\n0 {token}\n")
+    return str(path)
+
+
+def test_largest_rational_tokens_render(capsys, tmp_path):
+    exponent = f"e-{MAX_RATIONAL_TOKEN}"
+    decimal = "1." + "3" * (MAX_RATIONAL_TOKEN - 2 - len(exponent)) + exponent
+    fraction = "7" * 31 + "/" + "9" * (MAX_RATIONAL_TOKEN - 32)
+    for token in (decimal, fraction):
+        assert len(token) == MAX_RATIONAL_TOKEN
+        path = _rational_quad(tmp_path, token)
+        code, out, _ = invoke(capsys, "verify", "--in", path)
+        assert code == 0 and "summary checks=3 violations=0" in out
+        code, out, _ = invoke(capsys, "verify", "--in", path, "--json")
+        assert code == 0 and json.loads(out.splitlines()[-1])["checks"] == 3
+
+
+@pytest.mark.parametrize(
+    "token", ["1e-5000", "1e-1000000", "1e99999999999999999999", "1" * (MAX_RATIONAL_TOKEN + 1)]
+)
+def test_oversize_rational_tokens_are_usage_errors(capsys, tmp_path, token):
+    path = _rational_quad(tmp_path, token)
+    start = time.perf_counter()
+    for extra in ((), ("--json",)):
+        code, out, err = invoke(capsys, "verify", "--in", path, *extra)
+        assert code == 2 and out == "" and "error:" in err
+    assert time.perf_counter() - start < 1.0
+
+
+# --- the exit-code contract over generated argument vectors ---------------
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _value(*choices):
+    return st.sampled_from(choices).map(lambda v: [str(v)])
+
+
+def _count(lo, hi):
+    return st.integers(lo, hi).map(lambda v: [str(v)])
+
+
+BARE = st.just([])
+
+
+def _opt(flag, values=BARE):
+    return values.map(lambda v: [flag, *v])
+
+
+def _cat(*parts):
+    return st.tuples(*parts).map(lambda ps: [token for part in ps for token in part])
+
+
+COMMON = {"--json": BARE, "--out": _value("", "", "/nonexistent-dir/out.txt")}
+SEED = {"--seed": st.integers(-(2**70), 2**70).map(lambda v: [str(v)])}
+SEEDED = {**SEED, "--mode": _value("float", "rational", "decimal")}
+IN = _value(*sorted(str(f) for f in INPUTS.iterdir()), INPUTS / "missing.txt")
+DIM = _count(1, 4)
+TOL = _value("1e-9", "0.3", "1e-300", "0", "-1", "nan", "inf", "x")
+RADIUS = _value("1", "2.5", "1e-9", "0", "-1", "nan", "inf")
+FUZZ = st.one_of(BARE, _count(-1, 20))
+RESTARTS, BUDGET = _count(-1, 2), _count(-1, 6)
+# Optional flags, each drawn at most once, after the command's lead.  Counts
+# stay small so the property costs seconds.
+FLAGS = {
+    "gen": {**SEEDED, "--n": _count(1, 11), "--dim": DIM, "--polygon": BARE, "--radius": RADIUS},
+    "verify": {**SEEDED, "--in": IN, "--fuzz": FUZZ, "--trials": _count(-1, 20),
+               "--n": _count(2, 7), "--dim": DIM, "--tol": TOL, "--duality": BARE},
+    "identity": {**SEEDED, "--in": IN, "--fuzz": FUZZ, "--trials": _count(-1, 20), "--dim": DIM,
+                 "--pairing": _value(0, 1, 2, 3, "all"), "--tol": TOL},
+    "iterate": {**SEEDED, "--in": IN, "--polygon": BARE, "--radius": RADIUS, "--dim": DIM,
+                "--cycle": _value("0,1,2,3,4", "0,2,4,1,3", "4,0,1,2,3", "0,1,2", "0,0,1,2,3",
+                                  "a,b", ""),
+                "--steps": _count(-1, 12), "--tol": TOL},
+    "sequence": {"--terms": _count(-1, 40), "--check": BARE},
+    "optimize": {**SEED, "--n": _count(2, 8), "--dim": DIM,
+                 "--objective": _value("maximize", "minimize", "explore"),
+                 "--conjecture": BARE, "--n-min": _count(2, 8), "--n-max": _count(2, 8),
+                 "--restarts": RESTARTS, "--budget": BUDGET},
+    "pentagon": {"--n": _value(1, 3, 4, 5, 6, 7, 8, 11), "--radius": RADIUS, "--check": BARE,
+                 "--tol": TOL},
+}
+# A lead that gets most examples past the argument checks.  optimize always
+# takes a tiny budget: its defaults (20 restarts x 500 sweeps) take seconds.
+LEAD = {
+    "verify": st.one_of(_opt("--in", IN), _cat(_opt("--fuzz", FUZZ), _opt("--n", _count(4, 5)))),
+    "identity": st.one_of(_opt("--in", IN), _opt("--fuzz", FUZZ)),
+    "iterate": st.one_of(_opt("--in", IN), _opt("--polygon"), _opt("--seed", _count(0, 99))),
+    "optimize": _cat(st.one_of(_opt("--n", _count(4, 7)), _opt("--conjecture")),
+                     _opt("--restarts", RESTARTS), _opt("--budget", BUDGET)),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = {**COMMON, **FLAGS[command]}
+    argv = [command, *draw(LEAD.get(command, BARE))]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        argv += [flag, *draw(flags[flag])]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_every_argument_vector_ends_in_a_contract_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_module_entry_point_exit_codes():
+    paths = [str(Path(cycleweights.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cmd = [sys.executable, "-m", "cycleweights"]
+    held = subprocess.run([*cmd, "pentagon", "--check", "--json"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert held.returncode == 0
+    assert json.loads(held.stdout)["check"]["lower_ok"] is True
+    usage = subprocess.run([*cmd, "verify"], capture_output=True, text=True, env=env, timeout=60)
+    assert usage.returncode == 2
+    assert "error:" in usage.stderr and "Traceback" not in usage.stderr
