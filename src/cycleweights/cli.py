@@ -30,6 +30,11 @@ from .pentagon import trace
 from .sequences import check_sequence_properties, sequence_table
 
 
+# From n = 7144 on, a table row holds a Fraction with more digits than an int
+# renders as text by default (4300), so a longer table ends in a traceback.
+MAX_TERMS = 7000
+
+
 def _fmt(x) -> str:
     # str of a float is its repr, the shortest round-trip form
     return "" if x is None else str(x)
@@ -290,11 +295,6 @@ def _cmd_iterate(args) -> int:
 
 
 # --- sequence ---------------------------------------------------------
-
-
-# From n = 7144 on, a table row holds a Fraction with more digits than an int
-# renders as text by default (4300), so a longer table ends in a traceback.
-MAX_TERMS = 7000
 
 
 def _cmd_sequence(args) -> int:

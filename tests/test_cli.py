@@ -479,11 +479,13 @@ FLAGS = {
     "pentagon": {"--n": _value(1, 3, 4, 5, 6, 7, 8, 11), "--radius": RADIUS, "--check": BARE,
                  "--tol": TOL},
 }
-# A lead that gets most examples past the argument checks.  optimize always
-# takes a tiny budget: its defaults (20 restarts x 500 sweeps) take seconds.
+# A lead that gets most examples past the argument checks.  A fuzz run and
+# optimize always take a tiny count: their defaults (1000 trials, 20 restarts
+# x 500 sweeps) take seconds.
+FUZZ_LEAD = _cat(_opt("--fuzz", FUZZ), _opt("--trials", _count(-1, 20)))
 LEAD = {
-    "verify": st.one_of(_opt("--in", IN), _cat(_opt("--fuzz", FUZZ), _opt("--n", _count(4, 5)))),
-    "identity": st.one_of(_opt("--in", IN), _opt("--fuzz", FUZZ)),
+    "verify": st.one_of(_opt("--in", IN), _cat(FUZZ_LEAD, _opt("--n", _count(4, 5)))),
+    "identity": st.one_of(_opt("--in", IN), FUZZ_LEAD),
     "iterate": st.one_of(_opt("--in", IN), _opt("--polygon"), _opt("--seed", _count(0, 99))),
     "optimize": _cat(st.one_of(_opt("--n", _count(4, 7)), _opt("--conjecture")),
                      _opt("--restarts", RESTARTS), _opt("--budget", BUDGET)),
