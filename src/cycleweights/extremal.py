@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .bounds import K5_LOWER, K5_UPPER
 from .cycles import (
-    Cycle, canonicalize, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+    Cycle, canonicalize, cycle_edges, cycle_weight, cycle_weights, enumerate_cycles,
+    total_weight,
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
@@ -205,12 +206,8 @@ def conjecture_table(
 
 
 def _extreme_cycle(config: Configuration, minimize: bool):
-    w = pair_weights(config.points)
-    w_k = ordered_sum(w)
-    best_cycle = None
-    best_value = None
-    for cycle, edges in zip(enumerate_cycles(config.n), cycle_edges(config.n)):
-        v = ordered_sum([w[e] for e in edges]) / w_k
-        if best_value is None or ((v < best_value) if minimize else (v > best_value)):
-            best_cycle, best_value = cycle, v
-    return best_cycle, best_value
+    w_k = total_weight(config)
+    ratios = [w_e / w_k for w_e in cycle_weights(config.points)]
+    # min and max keep the first of equal extremes, as a strict < or > would
+    k = (min if minimize else max)(range(len(ratios)), key=ratios.__getitem__)
+    return enumerate_cycles(config.n)[k], ratios[k]

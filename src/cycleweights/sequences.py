@@ -122,11 +122,23 @@ class SequencePropertyReport:
     verdict: str
 
 
-def check_sequence_properties(n_max: int) -> SequencePropertyReport:
-    """Exactly verify positivity/decay/ratio facts for n = 1..n_max."""
+def check_sequence_properties(
+    n_max: int, table: SequenceTable | None = None
+) -> SequencePropertyReport:
+    """Exactly verify positivity/decay/ratio facts for n = 1..n_max.
+
+    ``table`` is a :func:`sequence_table` of at least a_0..a_{n_max}, so a
+    caller that already holds one does not build a second; the one further
+    term the checks need comes from the recurrence.
+    """
     if n_max < 3:
         raise UsageError("n_max must be at least 3")
-    a = sequence_table(n_max + 1).terms
+    if table is None:
+        table = sequence_table(n_max)
+    elif table.n_max < n_max:
+        raise UsageError("the table must reach a_{n_max}")
+    a = table.terms[: n_max + 1]
+    a += (_C1 * a[-1] - _C2 * a[-2],)
     positive_decreasing = all(
         a[n] > 0 and a[n + 1] < a[n] for n in range(1, n_max + 1)
     )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cycleweights
 from cycleweights.cli import run
+from cycleweights.cycles import enumerate_cycles
 from cycleweights.geometry import MAX_RATIONAL_TOKEN
 
 SQUARE_FILE = "points 4 dim 2 mode float\n0 0\n1 0\n1 1\n0 1\n"
@@ -333,6 +334,13 @@ def test_pentagon_other_sizes(capsys):
     assert 0 < obj["min_ratio"] < obj["max_ratio"] < 1
 
 
+def test_pentagon_n10_builds_no_cycle(capsys):
+    enumerate_cycles.cache_clear()
+    code, out, _ = invoke(capsys, "pentagon", "--n", "10", "--json")
+    assert code == 0 and json.loads(out)["cycles"] == 181440
+    assert enumerate_cycles.cache_info().currsize == 0
+
+
 def test_pentagon_errors(capsys):
     assert invoke(capsys, "pentagon", "--n", "2")[0] == 2
     assert invoke(capsys, "pentagon", "--n", "4", "--check")[0] == 2
@@ -367,12 +375,24 @@ def test_help_exits_zero(capsys):
         ("gen", "--out", "/nonexistent-dir/x"),
         ("optimize", "--conjecture", "--n-min", "6", "--n-max", "5"),
         ("sequence", "--terms", "7144"),
+        ("gen", "--n", "3", "--seed", "-1"),
+        ("gen", "--n", "3", "--seed", "18446744073709551616"),
+        ("gen", "--seed", "1.5"),
+        ("verify", "--n", "5", "--fuzz", "3", "--seed", "-1"),
+        ("identity", "--fuzz", "3", "--seed", "-7"),
+        ("iterate", "--seed", "x"),
+        ("optimize", "--n", "4", "--seed", "-1"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
     code, _, err = invoke(capsys, *argv)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def test_seed_takes_every_u64(capsys):
+    for seed in ("0", str(2**64 - 1)):
+        assert invoke(capsys, "gen", "--n", "3", "--seed", seed)[0] == 0
 
 
 @pytest.mark.parametrize(

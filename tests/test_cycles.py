@@ -13,6 +13,7 @@ from cycleweights.cycles import (
     complement_weight,
     cycle_edges,
     cycle_weight,
+    cycle_weights,
     enumerate_cycles,
     total_weight,
 )
@@ -153,6 +154,27 @@ def test_pair_vector_kernel_matches_cycle_weight_exactly(n, mode, dim, seed):
     assert len(cycle_edges(n)) == len(cycles)
     for cycle, edges in zip(cycles, cycle_edges(n)):
         assert ordered_sum([w[e] for e in edges]) == cycle_weight(config, cycle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.sampled_from([FLOAT, RATIONAL]),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_cycle_weights_walk_matches_cycle_weight_bit_for_bit(n, mode, dim, seed):
+    config = random_config(seed, n, dim, mode)
+    expected = [cycle_weight(config, cycle) for cycle in enumerate_cycles(n)]
+    # repr tells float bits apart where == would not (-0.0, nan)
+    assert list(map(repr, cycle_weights(config.points))) == list(map(repr, expected))
+
+
+def test_cycle_weights_range():
+    with pytest.raises(UsageError):
+        cycle_weights(((0.0, 0.0),) * 2)
+    with pytest.raises(UsageError):
+        cycle_weights(tuple((float(k), 0.0) for k in range(11)))
 
 
 def test_complement_cycle_example_and_involution():

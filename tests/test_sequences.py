@@ -90,6 +90,14 @@ def test_property_report_holds_through_200():
         check_sequence_properties(2)
 
 
+def test_property_report_reuses_a_given_table():
+    rep = check_sequence_properties(40)
+    assert check_sequence_properties(40, sequence_table(40)) == rep
+    assert check_sequence_properties(40, sequence_table(45)) == rep
+    with pytest.raises(UsageError):
+        check_sequence_properties(40, sequence_table(39))
+
+
 def test_representation_residual_rational_exact():
     config = random_config(8, 5, 2, RATIONAL)
     tr = trace(config, SIDES, 20)
