@@ -18,6 +18,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bounds import K5_LOWER, K5_UPPER
 from .cycles import (
@@ -26,7 +27,7 @@ from .cycles import (
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, normalized_points, ordered_sum, pair_weights, random_config,
+    Configuration, FLOAT, column_pair_weights, normalized_points, ordered_sum, random_config,
 )
 from .prng import MASK64, mix64
 
@@ -93,10 +94,10 @@ def ratio(config: Configuration, cycle: Cycle) -> float:
     return cycle_weight(config, cycle) / w_k
 
 
-def _identity_ratio(pts) -> float:
-    w = pair_weights(pts)
+def _identity_ratio(cols) -> float:
+    w = column_pair_weights(cols)
     # the identity cycle 0, 1, ..., n-1 is first in canonical order
-    return ordered_sum([w[e] for e in cycle_edges(len(pts))[0]]) / ordered_sum(w)
+    return ordered_sum(itemgetter(*cycle_edges(len(cols[0]))[0])(w)) / ordered_sum(w)
 
 
 def optimize(
@@ -127,10 +128,10 @@ def optimize(
     total_sweeps = 0
     for r in range(restarts):
         start = random_config(mix64((seed + r) & MASK64), n, dim, FLOAT)
-        pts = normalized_points(start.points)
+        # coordinate columns for the whole search: a move copies one column
+        pts = normalized_points(list(zip(*start.points)))
         if pts is None:  # unreachable for random draws, but stay safe
             continue
-        pts = [list(p) for p in pts]
         value = _identity_ratio(pts)
         history = [value]
         h = _H_INITIAL
@@ -141,12 +142,11 @@ def optimize(
             for i in range(n):
                 for j in range(dim):
                     for delta in (h, -h):
-                        cand = [row[:] for row in pts]
-                        cand[i][j] += delta
-                        norm = normalized_points(cand)
-                        if norm is None:
+                        moved = pts[j][:]
+                        moved[i] += delta
+                        cand = normalized_points(pts[:j] + [moved] + pts[j + 1:])
+                        if cand is None:
                             continue
-                        cand = [list(p) for p in norm]
                         v = _identity_ratio(cand)
                         if (v > value) if maximize else (v < value):
                             pts, value = cand, v
@@ -162,7 +162,7 @@ def optimize(
         if better:
             best = (r, value, pts, tuple(history), sweeps)
     best_restart, value, pts, history, _ = best
-    config = Configuration(tuple(tuple(p) for p in pts), FLOAT)
+    config = Configuration(tuple(zip(*pts)), FLOAT)
     bound = PROVEN_INTERVALS.get(n)
     within = None
     if bound is not None:

@@ -14,7 +14,10 @@ possible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,40 +74,51 @@ def midpoint(p: Point, q: Point) -> Point:
     return tuple((a + b) / 2 for a, b in zip(p, q))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_gathers(n: int) -> tuple:
+    """Gathers of the i ends and of the j ends of every (i, j), i < j pair."""
+    ends = tuple(zip(*itertools.combinations(range(n), 2))) or ((), ())
+    # itemgetter of one index returns a bare item, not a 1-tuple
+    return tuple(operator.itemgetter(*e) if len(e) > 1 else lambda c, e=e: [c[i] for i in e]
+                 for e in ends)
+
+
+def column_pair_weights(cols) -> list:
+    """``pair_weights`` of points given as coordinate columns, ``cols[k][i]``
+    being coordinate k of point i: the one weight kernel.
+
+    Entry (i, j) is d0*d0 + d1*d1 (+ d2*d2), which is the row loop's sum
+    from 0 bit for bit, as 0 + d*d == d*d.
+    """
+    ga, gb = _pair_gathers(len(cols[0]))
+    w = [(d := x - y) * d for x, y in zip(ga(cols[0]), gb(cols[0]))]
+    for c in cols[1:]:
+        w = [v + (d := x - y) * d for v, x, y in zip(w, ga(c), gb(c))]
+    return w
+
+
 def pair_weights(points) -> list:
     """Squared distance of every unordered pair, in (i, j), i < j order.
 
     This is the one pair order of the package.  w(K_n) is the ordered
     sum of this list, and a cycle's weight is the ordered sum of its
     entries at ``cycles.cycle_edges``, which equals ``cycle_weight`` bit
-    for bit.
+    for bit.  The rows are transposed once for :func:`column_pair_weights`.
     """
     if len({len(p) for p in points}) > 1:
         raise UsageError("dimension mismatch between points")
-    out = []
-    n = len(points)
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            total = 0
-            for a, b in zip(pi, points[j]):
-                d = a - b
-                total += d * d
-            out.append(total)
-    return out
+    cols = list(zip(*points))  # empty for no points, or points without coordinates
+    return column_pair_weights(cols) if cols else [0] * (len(points) * (len(points) - 1) // 2)
 
 
 def ordered_sum(values) -> Scalar:
-    """Left-to-right ``+=`` from 0: the one summation order for weights.
+    """Left-to-right additions from int 0: the one summation order for weights.
 
     Not ``sum()``: from Python 3.12 on, ``sum()`` of floats is
-    compensated, so its bits would differ from this loop's and between
-    Python versions.
+    compensated, so its bits would differ from a plain loop's and between
+    Python versions.  ``reduce`` does the plain loop's additions, in C.
     """
-    total = 0
-    for v in values:
-        total += v
-    return total
+    return functools.reduce(operator.add, values, 0)
 
 
 def pairwise_weight(points) -> Scalar:
@@ -183,25 +197,20 @@ def regular_polygon(n: int, circumradius: float = 1.0) -> Configuration:
     return Configuration(pts, FLOAT)
 
 
-def normalized_points(points):
+def normalized_points(cols):
     """Center at the origin and scale to unit total weight; None if degenerate.
 
-    Raw-tuple variant shared with the optimizer's inner loop.
+    Takes and returns coordinate columns, the optimizer's layout for its
+    whole search; the result is a new list of lists.
     """
-    n = len(points)
-    dim = len(points[0])
-    centroid = [0.0] * dim
-    for p in points:
-        for j in range(dim):
-            centroid[j] += p[j]
-    for j in range(dim):
-        centroid[j] /= n
-    shifted = [tuple(p[j] - centroid[j] for j in range(dim)) for p in points]
-    w = pairwise_weight(shifted)
+    n = len(cols[0])
+    shifted = [[x - c for x in col] for col in cols
+               for c in (functools.reduce(operator.add, col, 0.0) / n,)]
+    w = ordered_sum(column_pair_weights(shifted))
     if w == 0.0:
         return None
     s = 1.0 / math.sqrt(w)
-    return tuple(tuple(x * s for x in p) for p in shifted)
+    return [[x * s for x in col] for col in shifted]
 
 
 def normalize(config: Configuration) -> Configuration:
@@ -214,10 +223,10 @@ def normalize(config: Configuration) -> Configuration:
     """
     if config.mode != FLOAT:
         raise UsageError("normalize is only available in float mode")
-    pts = normalized_points(config.points)
-    if pts is None:
+    cols = normalized_points(list(zip(*config.points)))
+    if cols is None:
         raise DegenerateError("all points coincide; total weight is zero")
-    return Configuration(pts, FLOAT)
+    return Configuration(tuple(zip(*cols)), FLOAT)
 
 
 # --- point-file format ----------------------------------------------------

@@ -346,6 +346,18 @@ def test_pentagon_errors(capsys):
     assert invoke(capsys, "pentagon", "--n", "4", "--check")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [(*n, *flag) for n in (("--n", "4"), ("--n", "5"), ("--n", "6"), ("--n", "10"))
+     for flag in ((), ("--json",))] + [("--n", "5", "--check"), ("--check", "--json")],
+)
+def test_pentagon_underflowing_radius_is_degenerate(capsys, argv):
+    # every squared distance of the 1e-200 polygon underflows to 0.0
+    code, out, err = invoke(capsys, "pentagon", *argv, "--radius", "1e-200")
+    assert code == 3 and out == ""
+    assert "degenerate input:" in err and "Traceback" not in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "seq.csv"
     code, out, _ = invoke(capsys, "sequence", "--terms", "4", "--out", str(path))

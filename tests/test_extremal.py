@@ -1,5 +1,6 @@
 import pytest
 
+from cycleweights import extremal
 from cycleweights.bounds import K5_LOWER, K5_UPPER
 from cycleweights.cycles import canonicalize, complement_cycle
 from cycleweights.errors import DegenerateError, UsageError
@@ -35,6 +36,18 @@ def test_optimize_deterministic():
     a = optimize(5, 5, 2, MAXIMIZE, restarts=3, budget=60)
     b = optimize(5, 5, 2, MAXIMIZE, restarts=3, budget=60)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "args, calls", [((3, 5, 2, MAXIMIZE, 2, 40), 1551), ((4, 4, 3, MINIMIZE, 2, 30), 1412)]
+)
+def test_optimize_normalizes_once_per_start_and_candidate(monkeypatch, args, calls):
+    # the benchmark's traced evaluation count is these calls minus the restarts
+    seen = []
+    inner = extremal.normalized_points
+    monkeypatch.setattr(extremal, "normalized_points", lambda cols: seen.append(cols) or inner(cols))
+    optimize(*args)
+    assert len(seen) == calls
 
 
 def test_optimize_value_matches_witness():

@@ -13,6 +13,9 @@ from cycleweights.geometry import (
     format_points,
     midpoint,
     normalize,
+    normalized_points,
+    ordered_sum,
+    pair_weights,
     pairwise_weight,
     parse_points,
     random_config,
@@ -219,3 +222,62 @@ def test_pairwise_weight_matches_direct_sum(seed):
         for j in range(i + 1, 5)
     )
     assert pairwise_weight(c.points) == direct
+
+
+# The row-major loops that the column kernel replaced, kept as references.
+
+
+def _row_pair_weights(points):
+    out = []
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = 0
+            for a, b in zip(points[i], points[j]):
+                d = a - b
+                total += d * d
+            out.append(total)
+    return out
+
+
+def _row_ordered_sum(values):
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def _row_normalized_points(points):
+    n = len(points)
+    dim = len(points[0])
+    centroid = [0.0] * dim
+    for p in points:
+        for j in range(dim):
+            centroid[j] += p[j]
+    for j in range(dim):
+        centroid[j] /= n
+    shifted = [tuple(p[j] - centroid[j] for j in range(dim)) for p in points]
+    w = _row_ordered_sum(_row_pair_weights(shifted))
+    if w == 0.0:
+        return None
+    s = 1.0 / math.sqrt(w)
+    return tuple(tuple(x * s for x in p) for p in shifted)
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    point = st.tuples(*[draw(st.sampled_from((finite, rational)))] * draw(st.sampled_from((2, 3))))
+    if draw(st.booleans()):  # every point equal: normalized_points gives None
+        return [draw(point)] * n
+    return draw(st.lists(point, min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(_point_sets())
+def test_column_kernel_matches_row_loops(points):
+    w = pair_weights(points)
+    assert repr(w) == repr(_row_pair_weights(points))
+    assert repr(ordered_sum(w)) == repr(_row_ordered_sum(w))
+    cols = normalized_points([list(c) for c in zip(*points)])
+    assert repr(cols if cols is None else tuple(zip(*cols))) == repr(_row_normalized_points(points))
