@@ -84,12 +84,9 @@ def _pair_gathers(n: int) -> tuple:
 
 
 def column_pair_weights(cols) -> list:
-    """``pair_weights`` of points given as coordinate columns, ``cols[k][i]``
-    being coordinate k of point i: the one weight kernel.
-
-    Entry (i, j) is d0*d0 + d1*d1 (+ d2*d2), which is the row loop's sum
-    from 0 bit for bit, as 0 + d*d == d*d.
-    """
+    """The one weight kernel: ``pair_weights`` of coordinate columns, where
+    ``cols[k][i]`` is coordinate k of point i.  Entry (i, j) is d0*d0 + d1*d1
+    (+ d2*d2), bit for bit a row loop's sum from 0, since 0 + d*d == d*d."""
     ga, gb = _pair_gathers(len(cols[0]))
     w = [(d := x - y) * d for x, y in zip(ga(cols[0]), gb(cols[0]))]
     for c in cols[1:]:
@@ -112,13 +109,17 @@ def pair_weights(points) -> list:
 
 
 def ordered_sum(values) -> Scalar:
-    """Left-to-right additions from int 0: the one summation order for weights.
+    """Left-to-right ``+=`` from 0: the one summation order for weights.
 
     Not ``sum()``: from Python 3.12 on, ``sum()`` of floats is
-    compensated, so its bits would differ from a plain loop's and between
-    Python versions.  ``reduce`` does the plain loop's additions, in C.
+    compensated, so its bits would differ from this loop's and between
+    Python versions.  ``reduce(add, ...)`` gives the same bits but is
+    slower on CPython 3.11, which specializes this loop's float ``+=``.
     """
-    return functools.reduce(operator.add, values, 0)
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def pairwise_weight(points) -> Scalar:

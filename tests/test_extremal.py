@@ -45,7 +45,7 @@ def test_optimize_normalizes_once_per_start_and_candidate(monkeypatch, args, cal
     # the benchmark's traced evaluation count is these calls minus the restarts
     seen = []
     inner = extremal.normalized_points
-    monkeypatch.setattr(extremal, "normalized_points", lambda cols: seen.append(cols) or inner(cols))
+    monkeypatch.setattr(extremal, "normalized_points", lambda cols: seen.append(None) or inner(cols))
     optimize(*args)
     assert len(seen) == calls
 
