@@ -15,8 +15,9 @@ complement of a cycle is again a cycle and the two ratios sum to 1
 exactly, which makes the two K5 bounds equivalent statements.
 
 Float mode classifies each cycle with a tolerance band around the
-bounds; rational mode decides everything exactly, comparing against
-sqrt(5) via the squaring transform  t = 10 w(E) - 5 w(K5):
+bounds; rational mode decides everything exactly, on int weights over
+the configuration's common denominator, comparing against sqrt(5) via
+the squaring transform  t = 10 w(E) - 5 w(K5):
 both bounds together are |t| <= sqrt(5) w(K5), i.e. t^2 <= 5 w(K5)^2.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .checks import (
     DEGENERATE,
@@ -37,7 +39,8 @@ from .cycles import (
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, MODES, RATIONAL, ordered_sum, pair_weights, random_config,
+    Configuration, FLOAT, MODES, RATIONAL, column_pair_weights, integer_columns, ordered_sum,
+    pair_weights, random_config,
 )
 from .prng import MASK64, mix64
 
@@ -100,20 +103,19 @@ class DualityReport:
 
 
 def _classify_k4(w_e, w_k, tolerance: float, mode: str):
-    """Verdict for 1/2 w(K4) <= w(E) < w(K4) on one cycle."""
+    """(ratio, verdict) for 1/2 w(K4) <= w(E) < w(K4) on one cycle.  Rational
+    mode decides on the weights alone: its ratio is None, built only if reported."""
     if w_k == 0:
         return None, DEGENERATE
-    ratio = w_e / w_k
     w_d = w_k - w_e
     if mode == RATIONAL:
         if w_d == 0:
             # upper end: only reachable when two points coincide
-            return ratio, DEGENERATE
+            return None, DEGENERATE
         if 2 * w_e < w_k:
-            return ratio, VIOLATED
-        if 2 * w_e == w_k:
-            return ratio, HOLDS_WITH_EQUALITY
-        return ratio, HOLDS
+            return None, VIOLATED
+        return None, (HOLDS_WITH_EQUALITY if 2 * w_e == w_k else HOLDS)
+    ratio = w_e / w_k
     if w_d <= tolerance * w_k:
         return ratio, DEGENERATE
     if ratio < K4_LOWER - tolerance:
@@ -124,14 +126,14 @@ def _classify_k4(w_e, w_k, tolerance: float, mode: str):
 
 
 def _classify_k5(w_e, w_k, tolerance: float, mode: str):
-    """Verdict for (5 -+ sqrt(5))/10 bounds on one cycle."""
+    """(ratio, verdict) for the (5 -+ sqrt(5))/10 bounds, as for K4."""
     if w_k == 0:
         return None, DEGENERATE
-    ratio = w_e / w_k
     if mode == RATIONAL:
         # t^2 == 5 w_k^2 would make sqrt(5) rational, so no equality case
         t = 10 * w_e - 5 * w_k
-        return ratio, (HOLDS if t * t < 5 * w_k * w_k else VIOLATED)
+        return None, (HOLDS if t * t < 5 * w_k * w_k else VIOLATED)
+    ratio = w_e / w_k
     if ratio < K5_LOWER - tolerance or ratio > K5_UPPER + tolerance:
         return ratio, VIOLATED
     if abs(ratio - K5_LOWER) <= tolerance or abs(ratio - K5_UPPER) <= tolerance:
@@ -142,32 +144,50 @@ def _classify_k5(w_e, w_k, tolerance: float, mode: str):
 def _check_rows(configs, tolerance: float, keep_all: bool):
     """Classify every cycle of each configuration, as a stream.
 
-    Each configuration becomes one pair-weight vector, and each cycle
-    weight a sum over its edge indices.  Verdict counts and ratio
-    extremes run as the rows go by (first value kept, replaced only on a
-    strict < or >, as ``min``/``max`` do).  A CycleRow is built only for
-    rows that are reported: all of them when ``keep_all``, otherwise the
-    violated and degenerate ones.  Config ids count from 0.
+    Each configuration becomes one pair-weight vector (ints times den**2
+    in rational mode, see ``integer_columns``), and each cycle weight a
+    sum over its edge indices.  If w(K_n) is 0 or not finite, every row is
+    degenerate.  Verdict counts and ratio extremes run as the rows go by
+    (first value kept, replaced only on a strict < or >, as ``min``/``max``
+    do).  A CycleRow is built only for rows that are reported: all of them
+    when ``keep_all``, otherwise the violated and degenerate ones.  Config
+    ids count from 0.
     """
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
-    lo = hi = None
+    lo = hi = None  # extreme ratios; (w_e, w_k) pairs in rational mode
     kept = []
     for config_id, config in enumerate(configs):
         n, mode = config.n, config.mode
         classify = _classify_k4 if n == 4 else _classify_k5
-        w = pair_weights(config.points)
+        if mode == RATIONAL:
+            cols, den = integer_columns(config.points)
+            w, unit = column_pair_weights(cols), den * den
+        else:
+            w = pair_weights(config.points)
         w_k = ordered_sum(w)
-        for cycle, edges in zip(enumerate_cycles(n), cycle_edges(n)):
-            w_e = ordered_sum([w[e] for e in edges])
-            ratio, verdict = classify(w_e, w_k, tolerance, mode)
+        w_es = [ordered_sum([w[e] for e in edges]) for edges in cycle_edges(n)]
+        has_ratio = 0 < w_k < math.inf
+        if has_ratio and mode == RATIONAL:
+            # w_k > 0, so cross-multiplying compares the ratios
+            e_lo, e_hi = min(w_es), max(w_es)
+            lo = (e_lo, w_k) if lo is None or e_lo * lo[1] < lo[0] * w_k else lo
+            hi = (e_hi, w_k) if hi is None or e_hi * hi[1] > hi[0] * w_k else hi
+        elif has_ratio:
+            # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
+            r_lo, r_hi = min(w_es) / w_k, max(w_es) / w_k
+            lo = r_lo if lo is None or r_lo < lo else lo
+            hi = r_hi if hi is None or r_hi > hi else hi
+        for cycle, w_e in zip(enumerate_cycles(n), w_es):
+            ratio, verdict = classify(w_e, w_k, tolerance, mode) if has_ratio else (None, DEGENERATE)
             counts[verdict] += 1
-            if ratio is not None:
-                if lo is None or ratio < lo:
-                    lo = ratio
-                if hi is None or ratio > hi:
-                    hi = ratio
             if keep_all or verdict in (VIOLATED, DEGENERATE):
-                kept.append(CycleRow(config_id, cycle, w_e, w_k - w_e, w_k, ratio, verdict))
+                weights = (w_e, w_k - w_e, w_k)
+                if mode == RATIONAL:
+                    ratio = Fraction(w_e, w_k) if has_ratio else None
+                    weights = tuple(Fraction(v, unit) for v in weights)
+                kept.append(CycleRow(config_id, cycle, *weights, ratio, verdict))
+    if isinstance(lo, tuple):
+        lo, hi = Fraction(*lo), Fraction(*hi)
     return kept, counts, lo, hi
 
 
@@ -211,8 +231,8 @@ def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityRep
     if config.n != 5:
         raise UsageError("duality needs exactly 5 points")
     w_k = total_weight(config)
-    if w_k == 0:
-        raise DegenerateError("all points coincide; ratios are undefined")
+    if not 0 < w_k < math.inf:
+        raise DegenerateError("all points coincide, or the total weight overflows; no ratio")
     rows = []
     ok = True
     for cycle in enumerate_cycles(5):

@@ -414,21 +414,21 @@ def _cmd_pentagon(args) -> int:
     if args.check and args.n != 5:
         raise UsageError("--check applies to the pentagon (n = 5)")
     config = regular_polygon(args.n, args.radius)
-    # a radius so small that squared distances underflow to 0 leaves no ratio
-    underflow = f"squared distances underflow at radius {args.radius!r}"
+    # a radius so small or so large that w(K_n) is 0 or not finite leaves no ratio
+    out_of_range = f"squared distances under- or overflow at radius {args.radius!r}"
     report = None
     if args.n in (4, 5):
         report = _bounds_report(config, REL_TOL_DERIVED)
         if report.degenerate:
-            raise DegenerateError(underflow)
+            raise DegenerateError(out_of_range)
         count, lo, hi = report.checks, report.min_ratio, report.max_ratio
     else:
         # division by w_k > 0 is monotone, so dividing the extreme weights
         # gives the same bits as taking the extremes of the ratios
         weights = cycle_weights(config.points)
         w_k = total_weight(config)
-        if w_k == 0:
-            raise DegenerateError(underflow)
+        if not 0 < w_k < math.inf:
+            raise DegenerateError(out_of_range)
         count, lo, hi = len(weights), min(weights) / w_k, max(weights) / w_k
     violations = report.violations if report is not None else 0
     targets = (("lower", lo, bounds_mod.K5_LOWER), ("upper", hi, bounds_mod.K5_UPPER))

@@ -3,8 +3,9 @@
 A point is a plain tuple of scalars.  A configuration is an ordered,
 immutable collection of points sharing one dimension (2 or 3) and one
 scalar mode: mode ``"float"`` computes in binary64, mode ``"rational"``
-computes in :class:`fractions.Fraction` so algebraic identities can be
-checked with zero tolerance.
+holds :class:`fractions.Fraction` coordinates so algebraic identities can
+be checked with zero tolerance; :func:`integer_columns` clears their
+denominators once, so exact checks compute on ints.
 
 The edge weight between two points is the *squared* Euclidean distance,
 i.e. the sum of squared coordinate differences — no square roots appear
@@ -94,6 +95,14 @@ def column_pair_weights(cols) -> list:
     return w
 
 
+def integer_columns(points) -> tuple:
+    """``(cols, den)``: ``den`` is the lcm of the rational coordinates'
+    denominators and ``cols[k][i] == points[i][k] * den``, an int, so
+    :func:`column_pair_weights` of ``cols`` is every pair weight times den**2."""
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (den // x.denominator) for x in c] for c in zip(*points)], den
+
+
 def pair_weights(points) -> list:
     """Squared distance of every unordered pair, in (i, j), i < j order.
 
@@ -173,15 +182,16 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
         raise UsageError("dimension must be 2 or 3")
     if mode not in MODES:
         raise UsageError(f"unknown scalar mode {mode!r}")
-    rng = SplitMix64(seed)
-    pts = []
-    for _ in range(n):
-        if mode == RATIONAL:
-            coords = tuple(Fraction(rng.next_u64() >> 11, 1 << 53) for _ in range(dim))
-        else:
-            coords = tuple(rng.next_unit() for _ in range(dim))
-        pts.append(coords)
-    return Configuration(tuple(pts), mode)
+    draw = SplitMix64(seed).next_u64
+    if mode == RATIONAL:
+        pts = tuple(tuple(Fraction(draw() >> 11, 1 << 53) for _ in range(dim)) for _ in range(n))
+    else:
+        # SplitMix64.next_unit's bits, without a method call per coordinate
+        pts = tuple(tuple((draw() >> 11) * 2.0**-53 for _ in range(dim)) for _ in range(n))
+    # the draws need no coercion or checks: set the fields, skip __post_init__
+    config = object.__new__(Configuration)
+    config.__dict__.update(points=pts, mode=mode, dim=dim)
+    return config
 
 
 def regular_polygon(n: int, circumradius: float = 1.0) -> Configuration:

@@ -22,6 +22,7 @@ five quadruples of consecutive E-cycle vertices; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,14 +103,14 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
 
     Points are reordered along the complement cycle of ``e_cycle``, so
     consecutive entries realize D edges and entries two apart realize E
-    edges.  A zero-total-weight configuration has nothing to iterate on.
+    edges.  A total weight of zero, or not finite, leaves nothing to iterate on.
     """
     if config.n != 5:
         raise UsageError("midpoint iteration needs exactly 5 points")
     if e_cycle.n != 5:
         raise UsageError("cycle size does not match configuration")
-    if total_weight(config) == 0:
-        raise DegenerateError("all points coincide; total weight is zero")
+    if not 0 < total_weight(config) < math.inf:
+        raise DegenerateError("all points coincide, or the total weight overflows")
     d_cycle = complement_cycle(e_cycle)
     points = tuple(config.points[v] for v in d_cycle.order)
     d = complement_weight(config, e_cycle)

@@ -18,23 +18,19 @@ Which pair of the six segments plays the "diagonal" role is a labeling
 choice, not geometry: a 4-point set admits three pairings, indexed
 0, 1, 2.  Pairing 0 is the natural order given; 1 and 2 swap one point
 so each of the three perfect matchings of {A, B, C, D} takes its turn
-as the diagonal pair.
+as the diagonal pair.  Rational mode evaluates every term on ints and
+reports it as a reduced Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
 from .errors import UsageError
 from .geometry import (
-    FLOAT,
-    MODES,
-    RATIONAL,
-    Scalar,
-    _coerce_point,
-    midpoint,
-    random_config,
+    FLOAT, MODES, RATIONAL, Scalar, _coerce_point, integer_columns, midpoint, random_config,
     squared_distance,
 )
 from .prng import MASK64, mix64
@@ -111,25 +107,35 @@ class IdentityFuzzReport:
 
 
 def identity_terms(quad: QuadLabeling) -> IdentityTerms:
-    """Evaluate every term of the relation for one labeling."""
+    """Evaluate every term of the relation for one labeling.
+
+    Rational mode runs on ints: over twice the coordinates' common
+    denominator, every point and midpoint is an integer point.
+    """
     a, b, c, d = quad.ordered()
+    mid = midpoint
+    if quad.mode == RATIONAL:
+        cols, den = integer_columns((a, b, c, d))
+        a, b, c, d = zip(*([2 * x for x in col] for col in cols))
+        mid = lambda p, q: tuple((x + y) >> 1 for x, y in zip(p, q))  # noqa: E731, even sums
     l1 = squared_distance(a, b)
     l2 = squared_distance(b, c)
     l3 = squared_distance(c, d)
     l4 = squared_distance(d, a)
     l5 = squared_distance(a, c)
     l6 = squared_distance(b, d)
-    m1, m3 = midpoint(a, b), midpoint(c, d)
-    m2, m4 = midpoint(b, c), midpoint(d, a)
-    m5, m6 = midpoint(a, c), midpoint(b, d)
+    m1, m3 = mid(a, b), mid(c, d)
+    m2, m4 = mid(b, c), mid(d, a)
+    m5, m6 = mid(a, c), mid(b, d)
     p_sq = squared_distance(m1, m3)
     q_sq = squared_distance(m2, m4)
     r_sq = squared_distance(m5, m6)
     rhs = l1 + l2 + l3 + l4
     lhs = 4 * r_sq + l5 + l6
-    return IdentityTerms(
-        quad.pairing, (l1, l2, l3, l4, l5, l6), p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs
-    )
+    terms = (l1, l2, l3, l4, l5, l6, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs)
+    if quad.mode == RATIONAL:
+        terms = tuple(Fraction(t, 4 * den * den) for t in terms)
+    return IdentityTerms(quad.pairing, terms[:6], *terms[6:])
 
 
 def midpoint_parallelogram_relations(quad: QuadLabeling) -> tuple:

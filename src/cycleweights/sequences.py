@@ -2,10 +2,11 @@
 
     a_0 = 0,  a_1 = 1,  a_{n+2} = (12/16) a_{n+1} - (1/16) a_n
 
-Everything here runs in fractions.Fraction: the sequence's qualitative
+The table holds fractions.Fraction terms.  The sequence's qualitative
 facts (positivity, monotone decay, ratio bounds) involve comparisons
 against the irrational (3 + sqrt(5))/8, which exact arithmetic settles
-by squaring — no tolerance ever enters a verdict.
+by squaring, as int comparisons on y_n = a_n 8^(n-1) — no tolerance ever
+enters a verdict.
 
 The same coefficients have the closed form a_n = y_n / 8^(n-1) where
 (3 + sqrt(5))^n = x_n + y_n sqrt(5) with integer x_n, y_n; it is
@@ -109,7 +110,8 @@ class SequencePropertyReport:
 
     ``ratio_above_limit`` certifies a_{n+1}/a_n > (3 + sqrt(5))/8 using
     the squaring transform: with s = 8 a_{n+1} - 3 a_n the claim is
-    equivalent to s > 0 and s^2 > 5 a_n^2, a pure rational comparison.
+    equivalent to s > 0 and s^2 > 5 a_n^2, and with y_n = a_n 8^(n-1) to
+    t = y_{n+1} - 3 y_n > 0 and t^2 > 5 y_n^2, an int comparison.
     ``final_ratio_gap`` reports |a_{N+1}/a_N - limit| in float for
     display.
     """
@@ -137,22 +139,21 @@ def check_sequence_properties(
         table = sequence_table(n_max)
     elif table.n_max < n_max:
         raise UsageError("the table must reach a_{n_max}")
-    a = table.terms[: n_max + 1]
-    a += (_C1 * a[-1] - _C2 * a[-2],)
-    positive_decreasing = all(
-        a[n] > 0 and a[n + 1] < a[n] for n in range(1, n_max + 1)
+    # each property is homogeneous in y_n = a_n 8^(n-1), an int for every term of
+    # the sequence; a term whose denominator does not divide 8^(n-1) fails the check
+    y, integral, scale = [0], True, 1
+    for x in table.terms[1 : n_max + 1]:
+        q, r = divmod(scale, x.denominator)
+        y.append(x * scale if r else x.numerator * q)  # exact either way
+        integral, scale = integral and not r, 8 * scale
+    y.append(6 * y[-1] - 4 * y[-2])  # the recurrence, times 8^n
+    positive_decreasing = all(0 < y[n] and y[n + 1] < 8 * y[n] for n in range(1, n_max + 1))
+    ratio_above = all(
+        (t := y[n + 1] - 3 * y[n]) > 0 and t * t > 5 * y[n] * y[n] for n in range(1, n_max + 1)
     )
-    ratio_above = True
-    for n in range(1, n_max + 1):
-        s = 8 * a[n + 1] - 3 * a[n]
-        if not (s > 0 and s * s > 5 * a[n] * a[n]):
-            ratio_above = False
-            break
-    nonincreasing = all(
-        a[n + 2] * a[n] <= a[n + 1] * a[n + 1] for n in range(1, n_max)
-    )
-    gap = abs(float(a[n_max + 1] / a[n_max]) - RATIO_LIMIT)
-    ok = positive_decreasing and ratio_above and nonincreasing
+    nonincreasing = all(y[n + 2] * y[n] <= y[n + 1] * y[n + 1] for n in range(1, n_max))
+    gap = abs(y[n_max + 1] / (8 * y[n_max]) - RATIO_LIMIT) if y[n_max] else math.inf
+    ok = integral and positive_decreasing and ratio_above and nonincreasing
     return SequencePropertyReport(
         n_max, positive_decreasing, ratio_above, nonincreasing, gap,
         HOLDS if ok else VIOLATED,

@@ -2,10 +2,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleweights.bounds import (
+    K4_LOWER,
     K5_LOWER,
     K5_UPPER,
+    CycleRow,
+    _aggregate,
+    _check_rows,
     _classify_k4,
     _classify_k5,
     check_k4_bounds,
@@ -19,15 +25,20 @@ from cycleweights.checks import (
     HOLDS_WITH_EQUALITY,
     VIOLATED,
 )
-from cycleweights.cycles import canonicalize, cycle_weight, total_weight
+from cycleweights.cycles import (
+    canonicalize, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+)
 from cycleweights.errors import DegenerateError, UsageError
 from cycleweights.geometry import (
     Configuration,
     FLOAT,
     RATIONAL,
+    ordered_sum,
+    pair_weights,
     random_config,
     regular_polygon,
 )
+from cycleweights.prng import mix64
 
 UNIT_SQUARE = Configuration(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 PENTAGON = regular_polygon(5, 1.0)
@@ -222,3 +233,133 @@ def test_fuzz_memory_does_not_grow_with_trials():
     finally:
         tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+# --- the bound check against the Fraction loops it replaced -----------------
+
+
+def _reference_classify(n, w_e, w_k, tolerance, mode):
+    """The classifiers as they were when rational weights were Fractions."""
+    if w_k == 0:
+        return None, DEGENERATE
+    ratio = w_e / w_k
+    if n == 4:
+        w_d = w_k - w_e
+        if mode == RATIONAL:
+            if w_d == 0:
+                return ratio, DEGENERATE
+            if 2 * w_e < w_k:
+                return ratio, VIOLATED
+            if 2 * w_e == w_k:
+                return ratio, HOLDS_WITH_EQUALITY
+            return ratio, HOLDS
+        if w_d <= tolerance * w_k:
+            return ratio, DEGENERATE
+        if ratio < K4_LOWER - tolerance:
+            return ratio, VIOLATED
+        if abs(ratio - K4_LOWER) <= tolerance:
+            return ratio, HOLDS_WITH_EQUALITY
+        return ratio, HOLDS
+    if mode == RATIONAL:
+        t = 10 * w_e - 5 * w_k
+        return ratio, (HOLDS if t * t < 5 * w_k * w_k else VIOLATED)
+    if ratio < K5_LOWER - tolerance or ratio > K5_UPPER + tolerance:
+        return ratio, VIOLATED
+    if abs(ratio - K5_LOWER) <= tolerance or abs(ratio - K5_UPPER) <= tolerance:
+        return ratio, HOLDS_WITH_EQUALITY
+    return ratio, HOLDS
+
+
+def _reference_rows(configs, tolerance, keep_all):
+    """The row loop as it was: Fraction weights, a ratio and extremes per row."""
+    counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
+    lo = hi = None
+    kept = []
+    for config_id, config in enumerate(configs):
+        n = config.n
+        w = pair_weights(config.points)
+        w_k = ordered_sum(w)
+        for cycle, edges in zip(enumerate_cycles(n), cycle_edges(n)):
+            w_e = ordered_sum([w[e] for e in edges])
+            ratio, verdict = _reference_classify(n, w_e, w_k, tolerance, config.mode)
+            counts[verdict] += 1
+            if ratio is not None:
+                if lo is None or ratio < lo:
+                    lo = ratio
+                if hi is None or ratio > hi:
+                    hi = ratio
+            if keep_all or verdict in (VIOLATED, DEGENERATE):
+                kept.append(CycleRow(config_id, cycle, w_e, w_k - w_e, w_k, ratio, verdict))
+    return kept, counts, lo, hi
+
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def _config_lists(draw, mode, max_size=1):
+    """Up to ``max_size`` configurations of one n (4 or 5) with small p/q
+    coordinates; each draws its points from a pool of at most n, so that
+    some coincide."""
+    n = draw(st.sampled_from((4, 5)))
+    coord = small if mode == RATIONAL else small.map(float)
+    configs = []
+    for _ in range(draw(st.integers(1, max_size))):
+        point = st.tuples(*[coord] * draw(st.sampled_from((2, 3))))
+        pool = draw(st.lists(point, min_size=1, max_size=n))
+        configs.append(Configuration(tuple(draw(st.sampled_from(pool)) for _ in range(n)), mode))
+    return configs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_lists(RATIONAL).map(lambda c: c[0]), st.sampled_from((1e-9, 0.3)))
+def test_single_checks_match_the_fraction_loops(config, tolerance):
+    check = check_k4_bounds if config.n == 4 else check_k5_bounds
+    expected = _aggregate(
+        config.n, RATIONAL, tolerance, 1, *_reference_rows((config,), tolerance, True)
+    )
+    report = check(config, tolerance)
+    assert repr(report) == repr(expected)
+    assert all(isinstance(v, Fraction) for r in report.rows
+               for v in (r.w_cycle, r.w_complement, r.w_total))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_lists(RATIONAL, 6), st.booleans())
+def test_streamed_rows_match_the_fraction_loops(configs, keep_all):
+    # several configurations: the extremes are compared across them
+    assert repr(_check_rows(configs, 1e-9, keep_all)) == repr(
+        _reference_rows(configs, 1e-9, keep_all)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_lists(FLOAT, 6), st.booleans())
+def test_float_rows_keep_their_bits(configs, keep_all):
+    assert repr(_check_rows(configs, 1e-9, keep_all)) == repr(
+        _reference_rows(configs, 1e-9, keep_all)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from((4, 5)), st.sampled_from((2, 3)))
+def test_rational_fuzz_matches_the_fraction_loops(seed, n, dim):
+    configs = [random_config(mix64((seed + i) % 2**64), n, dim, RATIONAL) for i in range(8)]
+    expected = _aggregate(n, RATIONAL, 1e-9, 8, *_reference_rows(configs, 1e-9, False))
+    report = fuzz(seed, 8, n, dim, mode=RATIONAL)
+    assert repr(report) == repr(expected)
+    assert isinstance(report.min_ratio, Fraction) and isinstance(report.max_ratio, Fraction)
+
+
+HUGE = Configuration(((1e160, 2e160), (-3e160, 1.5e160), (2.5e160, -1e160), (0.0, 4e160),
+                      (-1e160, -2e160)))
+
+
+def test_overflowing_float_weights_are_degenerate():
+    # every squared distance overflows to inf, so no ratio exists
+    rep = check_k5_bounds(HUGE)
+    assert rep.degenerate == rep.checks == 12 and rep.violations == 0
+    assert rep.min_ratio is None and rep.max_ratio is None
+    assert all(r.ratio is None and r.verdict == DEGENERATE for r in rep.rows)
+    with pytest.raises(DegenerateError):
+        duality_check(HUGE)

@@ -358,6 +358,31 @@ def test_pentagon_underflowing_radius_is_degenerate(capsys, argv):
     assert "degenerate input:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("--n", str(n)) for n in range(3, 11)] + [("--check",), ("--n", "5", "--json")]
+)
+def test_pentagon_overflowing_radius_is_degenerate(capsys, argv):
+    # every squared distance of the 1e160 polygon overflows to inf
+    code, out, err = invoke(capsys, "pentagon", *argv, "--radius", "1e160")
+    assert code == 3 and out == ""
+    assert "degenerate input:" in err and "Traceback" not in err
+
+
+HUGE_FILE = ("points 5 dim 2 mode float\n1e160 2e160\n-3e160 1.5e160\n2.5e160 -1e160\n"
+             "0 4e160\n-1e160 -2e160\n")
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--json"), ("verify", "--duality"),
+                                  ("iterate",), ("iterate", "--json")])
+def test_overflowing_point_file_never_holds(capsys, tmp_path, argv):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_FILE)
+    code, out, err = invoke(capsys, *argv, "--in", str(path))
+    assert code == 3 and "holds" not in out
+    assert "ratio nan" not in out and '"ratio": NaN' not in out
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "seq.csv"
     code, out, _ = invoke(capsys, "sequence", "--terms", "4", "--out", str(path))

@@ -10,7 +10,9 @@ from cycleweights.geometry import (
     FLOAT,
     RATIONAL,
     Configuration,
+    column_pair_weights,
     format_points,
+    integer_columns,
     midpoint,
     normalize,
     normalized_points,
@@ -22,6 +24,7 @@ from cycleweights.geometry import (
     regular_polygon,
     squared_distance,
 )
+from cycleweights.prng import SplitMix64
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 point2 = st.tuples(finite, finite)
@@ -115,6 +118,20 @@ def test_random_config_modes_agree_exactly():
     for pf, pr in zip(cf.points, cr.points):
         for xf, xr in zip(pf, pr):
             assert xr == Fraction(xf)
+
+
+def test_random_config_equals_a_checked_configuration():
+    # random_config skips the coercion and checks of Configuration(...)
+    for seed in range(200):
+        for n in range(3, 8):
+            for dim in (2, 3):
+                rng = SplitMix64(seed)
+                units = [rng.next_unit() for _ in range(n * dim)]
+                for mode in (FLOAT, RATIONAL):
+                    c = random_config(seed, n, dim, mode)
+                    checked = Configuration(c.points, mode)
+                    assert c == checked and repr(c) == repr(checked)
+                    assert [x for p in c.points for x in p] == units
 
 
 def test_random_config_validation():
@@ -272,3 +289,14 @@ def test_column_kernel_matches_row_loops(points):
     assert repr(pair_weights(points)) == repr(_row_pair_weights(points))
     cols = normalized_points([list(c) for c in zip(*points)])
     assert repr(cols if cols is None else tuple(zip(*cols))) == repr(_row_normalized_points(points))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(*[st.builds(Fraction, st.integers(-99, 99), st.integers(1, 60))] * 2),
+                min_size=1, max_size=6))
+def test_integer_columns_clear_every_denominator(points):
+    cols, den = integer_columns(points)
+    assert den == math.lcm(*(x.denominator for p in points for x in p))
+    assert all(type(x) is int for col in cols for x in col)
+    assert [tuple(Fraction(x, den) for x in p) for p in zip(*cols)] == points
+    assert column_pair_weights(cols) == [w * den * den for w in pair_weights(points)]

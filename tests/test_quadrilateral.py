@@ -8,6 +8,7 @@ from cycleweights.checks import HOLDS, VIOLATED
 from cycleweights.errors import UsageError
 from cycleweights.geometry import FLOAT, RATIONAL, midpoint, squared_distance
 from cycleweights.quadrilateral import (
+    IdentityTerms,
     QuadLabeling,
     fuzz_identity,
     identity_terms,
@@ -184,3 +185,47 @@ def test_verdict_labels():
     rep = verify_identity(QuadLabeling(HAND, 1, FLOAT))
     assert rep.verdict in (HOLDS, VIOLATED)
     assert rep.verdict == HOLDS
+
+
+# --- the exact terms against the Fraction arithmetic they replaced ----------
+
+
+def _reference_terms(quad):
+    """identity_terms as it was: Fraction midpoints and squared distances."""
+    a, b, c, d = quad.ordered()
+    l1, l2, l3 = squared_distance(a, b), squared_distance(b, c), squared_distance(c, d)
+    l4, l5, l6 = squared_distance(d, a), squared_distance(a, c), squared_distance(b, d)
+    m1, m3 = midpoint(a, b), midpoint(c, d)
+    m2, m4 = midpoint(b, c), midpoint(d, a)
+    m5, m6 = midpoint(a, c), midpoint(b, d)
+    p_sq, q_sq, r_sq = squared_distance(m1, m3), squared_distance(m2, m4), squared_distance(m5, m6)
+    rhs = l1 + l2 + l3 + l4
+    lhs = 4 * r_sq + l5 + l6
+    return IdentityTerms(
+        quad.pairing, (l1, l2, l3, l4, l5, l6), p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs
+    )
+
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def _small_quads(draw):
+    """Four points with small p/q coordinates from a pool of at most four, so
+    that some coincide."""
+    point = st.tuples(*[small] * draw(st.sampled_from((2, 3))))
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_quads())
+def test_exact_terms_match_the_fraction_arithmetic(pts):
+    for pairing in (0, 1, 2):
+        quad = QuadLabeling(pts, pairing, RATIONAL)
+        terms = identity_terms(quad)
+        assert repr(terms) == repr(_reference_terms(quad))
+        assert all(isinstance(v, Fraction) for v in (*terms.l_sq, terms.r_sq, terms.residual))
+        # the float arm keeps its bits
+        quad = QuadLabeling(pts, pairing, FLOAT)
+        assert repr(identity_terms(quad)) == repr(_reference_terms(quad))

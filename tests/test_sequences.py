@@ -10,6 +10,8 @@ from cycleweights.pentagon import trace
 from cycleweights.sequences import (
     BOUND_LIMIT,
     RATIO_LIMIT,
+    SequencePropertyReport,
+    SequenceTable,
     bound_value,
     check_sequence_properties,
     closed_form_term,
@@ -131,3 +133,55 @@ def test_bound_dominates_weight_ratio():
     s = trace(regular_polygon(5, 1.0), SIDES, 1)
     e1, d1 = s.e_values()[0], s.d_values()[0]
     assert abs(float(bound_value(60)) * e1 - d1) <= 1e-9 * d1
+
+
+# --- the int checks against the Fraction checks they replaced --------------
+
+
+def _reference_properties(n_max, table):
+    """check_sequence_properties as it was: every comparison on Fractions."""
+    a = table.terms[: n_max + 1]
+    a += (Fraction(12, 16) * a[-1] - Fraction(1, 16) * a[-2],)
+    positive_decreasing = all(a[n] > 0 and a[n + 1] < a[n] for n in range(1, n_max + 1))
+    ratio_above = True
+    for n in range(1, n_max + 1):
+        s = 8 * a[n + 1] - 3 * a[n]
+        if not (s > 0 and s * s > 5 * a[n] * a[n]):
+            ratio_above = False
+            break
+    nonincreasing = all(a[n + 2] * a[n] <= a[n + 1] * a[n + 1] for n in range(1, n_max))
+    gap = abs(float(a[n_max + 1] / a[n_max]) - RATIO_LIMIT)
+    ok = positive_decreasing and ratio_above and nonincreasing
+    return SequencePropertyReport(
+        n_max, positive_decreasing, ratio_above, nonincreasing, gap,
+        "holds" if ok else "violated",
+    )
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 5, 17, 64, 300])
+def test_int_checks_match_the_fraction_checks(n_max):
+    table = sequence_table(n_max)
+    assert repr(check_sequence_properties(n_max, table)) == repr(
+        _reference_properties(n_max, table)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 30])
+@pytest.mark.parametrize("change", [
+    lambda a: a + Fraction(1, 3),  # a denominator that does not divide 8^(k-1)
+    lambda a: a * 2,
+    lambda a: a + Fraction(1, 2**200),
+    lambda a: Fraction(0),
+])
+def test_a_perturbed_term_is_violated_without_raising(k, change):
+    table = sequence_table(30)
+    terms = list(table.terms)
+    terms[k] = change(terms[k])
+    bad = SequenceTable(tuple(terms), table.ratios, table.bound_values)
+    rep = check_sequence_properties(30, bad)
+    assert rep.verdict == "violated"
+    if k < 30:  # the Fraction checks divide by a_30
+        ref = _reference_properties(30, bad)
+        flags = ("positive_decreasing", "ratio_above_limit", "ratio_nonincreasing",
+                 "final_ratio_gap")
+        assert [getattr(rep, f) for f in flags] == [getattr(ref, f) for f in flags]
