@@ -3,9 +3,8 @@
 A point is a plain tuple of scalars.  A configuration is an ordered,
 immutable collection of points sharing one dimension (2 or 3) and one
 scalar mode: mode ``"float"`` computes in binary64, mode ``"rational"``
-holds :class:`fractions.Fraction` coordinates so algebraic identities can
-be checked with zero tolerance; :func:`integer_columns` clears their
-denominators once, so exact checks compute on ints.
+holds :class:`fractions.Fraction` coordinates; exact checks clear their
+denominators (:func:`integer_columns`) and decide on ints, with zero tolerance.
 
 The edge weight between two points is the *squared* Euclidean distance,
 i.e. the sum of squared coordinate differences — no square roots appear

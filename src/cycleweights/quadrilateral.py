@@ -30,7 +30,14 @@ from fractions import Fraction
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
 from .errors import UsageError
 from .geometry import (
-    FLOAT, MODES, RATIONAL, Scalar, _coerce_point, integer_columns, midpoint, random_config,
+    FLOAT,
+    MODES,
+    RATIONAL,
+    Scalar,
+    _coerce_point,
+    integer_columns,
+    midpoint,
+    random_config,
     squared_distance,
 )
 from .prng import MASK64, mix64
@@ -107,17 +114,14 @@ class IdentityFuzzReport:
 
 
 def identity_terms(quad: QuadLabeling) -> IdentityTerms:
-    """Evaluate every term of the relation for one labeling.
-
-    Rational mode runs on ints: over twice the coordinates' common
-    denominator, every point and midpoint is an integer point.
-    """
+    """Evaluate every term of the relation for one labeling."""
     a, b, c, d = quad.ordered()
     mid = midpoint
     if quad.mode == RATIONAL:
+        # over twice the common denominator, every point and midpoint is an integer point
         cols, den = integer_columns((a, b, c, d))
         a, b, c, d = zip(*([2 * x for x in col] for col in cols))
-        mid = lambda p, q: tuple((x + y) >> 1 for x, y in zip(p, q))  # noqa: E731, even sums
+        mid = lambda p, q: tuple((x + y) >> 1 for x, y in zip(p, q))  # noqa: E731
     l1 = squared_distance(a, b)
     l2 = squared_distance(b, c)
     l3 = squared_distance(c, d)

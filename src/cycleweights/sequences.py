@@ -110,10 +110,9 @@ class SequencePropertyReport:
 
     ``ratio_above_limit`` certifies a_{n+1}/a_n > (3 + sqrt(5))/8 using
     the squaring transform: with s = 8 a_{n+1} - 3 a_n the claim is
-    equivalent to s > 0 and s^2 > 5 a_n^2, and with y_n = a_n 8^(n-1) to
-    t = y_{n+1} - 3 y_n > 0 and t^2 > 5 y_n^2, an int comparison.
-    ``final_ratio_gap`` reports |a_{N+1}/a_N - limit| in float for
-    display.
+    equivalent to s > 0 and s^2 > 5 a_n^2, and so to the int comparison
+    t > 0 and t^2 > 5 y_n^2 with t = 8^(n-1) s and y_n = 8^(n-1) a_n.
+    ``final_ratio_gap`` is |a_{N+1}/a_N - limit| in float, for display.
     """
 
     n_checked: int
