@@ -52,11 +52,14 @@ def _jsonable(x, drop=()):
     """JSON form of a report value.
 
     A dataclass becomes a dict of its fields less those named in ``drop``;
-    Fractions and Cycles become strings, tuples and lists become lists, and
-    the values of a dict are mapped in turn.
+    Fractions and Cycles become strings, a non-finite float becomes None
+    (``null``: JSON has no NaN or Infinity), tuples and lists become lists,
+    and the values of a dict are mapped in turn.
     """
     if isinstance(x, (Fraction, Cycle)):
         return str(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     if dataclasses.is_dataclass(x):
         fields = dataclasses.fields(x)
         return {f.name: _jsonable(getattr(x, f.name)) for f in fields if f.name not in drop}
@@ -350,7 +353,8 @@ def _cmd_sequence(args) -> int:
 
 
 def _optimize_json(res) -> dict:
-    dropped = ("objective", "config", "best_restart", "within_bounds", "history")
+    dropped = ("objective", "config", "best_restart", "within_bounds", "history",
+               "evals", "rescores", "acceptances", "halvings")
     return {**_jsonable(res, dropped), "objective_kind": res.objective,
             "witness_points": res.config.points}
 

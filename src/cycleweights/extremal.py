@@ -6,13 +6,26 @@ the same, so optimizing this one objective explores them all.  The
 ratio is scale- and translation-invariant, which makes the unit-weight
 normalized configurations a compact search space.
 
-The optimizer is a deterministic multi-start coordinate pattern search:
-from a seeded random start (normalized), sweep the coordinates in
-order, trying +h then -h on each (renormalizing the candidate), and
-accept the first strict improvement; after a sweep with no improvement
-halve h.  Start at h = 0.25, stop when h < 1e-9 or the sweep budget is
-spent.  No randomness beyond the seeded starts, so results are
+The optimizer is a deterministic multi-start coordinate pattern search
+(Hooke & Jeeves 1961, Torczon 1997): from a seeded random start
+(normalized), sweep the coordinates in order, trying +h then -h on each,
+and accept the first strict improvement; after a sweep with no
+improvement halve h.  Start at h = 0.25, stop when h < 1e-9 or the sweep
+budget is spent.  No randomness beyond the seeded starts, so results are
 reproducible bit for bit.
+
+Each candidate is screened in O(1).  For the current normalized columns
+the search keeps w(K_n), the identity-cycle weight w(E) and each column
+sum S_j.  Moving point i by d in column j changes w(K_n) by
+2d(n x_i - S_j) + (n-1)d^2 and w(E) by 2d(2x_i - x_{i-1} - x_{i+1}) + 2d^2
+(indices mod n).  A candidate whose screened ratio is not a strict
+improvement, or whose w(K_n) would not be positive, is dropped unbuilt.
+One that passes is built, normalized and rescored in full, and accepted
+only if that confirmed ratio is a strict improvement too, so ``value`` is
+always the ratio of the returned witness and ``history`` is strictly
+monotone.  The ratio is translation- and scale-invariant, so the screen
+needs no normalization; only ulp-level ties can resolve differently from
+rescoring every candidate.
 """
 
 from __future__ import annotations
@@ -49,6 +62,11 @@ class OptimizationResult:
     accepted values of the winning restart in order.  ``bound`` is the
     proven interval for this n (None when there is none) and
     ``within_bounds`` allows a 1e-9 guard band around it.
+
+    The counters are summed over all restarts: ``evals`` candidates were
+    screened, ``rescores`` of them passed the screen and were normalized
+    and rescored, ``acceptances`` of those were accepted, and the step was
+    halved ``halvings`` times.
     """
 
     n: int
@@ -63,6 +81,10 @@ class OptimizationResult:
     bound: tuple
     within_bounds: bool
     history: tuple
+    evals: int
+    rescores: int
+    acceptances: int
+    halvings: int
 
 
 @dataclass(frozen=True)
@@ -94,10 +116,22 @@ def ratio(config: Configuration, cycle: Cycle) -> float:
     return cycle_weight(config, cycle) / w_k
 
 
-def _identity_ratio(cols) -> float:
+def _identity_weights(cols) -> tuple:
+    """(w(E), w(K_n)) of coordinate columns, E the identity cycle."""
     w = column_pair_weights(cols)
     # the identity cycle 0, 1, ..., n-1 is first in canonical order
-    return ordered_sum(itemgetter(*cycle_edges(len(cols[0]))[0])(w)) / ordered_sum(w)
+    return ordered_sum(itemgetter(*cycle_edges(len(cols[0]))[0])(w)), ordered_sum(w)
+
+
+def _slopes(col, i: int, col_sum: float) -> tuple:
+    """``(g_k, g_e)`` for moving point i by d in coordinate column ``col``.
+
+    The move changes w(K_n) by ``d * (g_k + (n - 1) * d)`` and the
+    identity-cycle weight by ``d * (g_e + 2 * d)``, where ``col_sum`` is
+    the column's sum and neighbours are taken mod n.
+    """
+    x = col[i]
+    return 2.0 * (len(col) * x - col_sum), 2.0 * (2.0 * x - col[i - 1] - col[(i + 1) % len(col)])
 
 
 def optimize(
@@ -124,15 +158,18 @@ def optimize(
     if budget < 1:
         raise UsageError("sweep budget must be at least 1")
     maximize = objective == MAXIMIZE
+    bend_k = n - 1  # curvature of w(K_n) along a move; w(E)'s is 2
     best = None
-    total_sweeps = 0
+    total_sweeps = evals = rescores = acceptances = halvings = 0
     for r in range(restarts):
         start = random_config(mix64((seed + r) & MASK64), n, dim, FLOAT)
         # coordinate columns for the whole search: a move copies one column
         pts = normalized_points(list(zip(*start.points)))
         if pts is None:  # unreachable for random draws, but stay safe
             continue
-        value = _identity_ratio(pts)
+        w_e, w_k = _identity_weights(pts)
+        value = w_e / w_k
+        sums = [ordered_sum(c) for c in pts]
         history = [value]
         h = _H_INITIAL
         sweeps = 0
@@ -141,20 +178,34 @@ def optimize(
             improved = False
             for i in range(n):
                 for j in range(dim):
+                    col = pts[j]
+                    g_k, g_e = _slopes(col, i, sums[j])
                     for delta in (h, -h):
-                        moved = pts[j][:]
+                        evals += 1
+                        k = w_k + delta * (g_k + bend_k * delta)
+                        if k <= 0.0:
+                            continue
+                        v = (w_e + delta * (g_e + 2.0 * delta)) / k
+                        if not ((v > value) if maximize else (v < value)):
+                            continue
+                        rescores += 1
+                        moved = col[:]
                         moved[i] += delta
                         cand = normalized_points(pts[:j] + [moved] + pts[j + 1:])
                         if cand is None:
                             continue
-                        v = _identity_ratio(cand)
+                        c_e, c_k = _identity_weights(cand)
+                        v = c_e / c_k
                         if (v > value) if maximize else (v < value):
-                            pts, value = cand, v
+                            pts, value, w_e, w_k = cand, v, c_e, c_k
+                            sums = [ordered_sum(c) for c in pts]
                             history.append(v)
+                            acceptances += 1
                             improved = True
                             break
             if not improved:
                 h *= 0.5
+                halvings += 1
         total_sweeps += sweeps
         better = best is None or (
             (value > best[1]) if maximize else (value < best[1])
@@ -170,6 +221,7 @@ def optimize(
     return OptimizationResult(
         n, dim, objective, value, config, canonicalize(range(n)),
         restarts, total_sweeps, best_restart, bound, within, history,
+        evals, rescores, acceptances, halvings,
     )
 
 

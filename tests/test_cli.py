@@ -383,6 +383,21 @@ def test_overflowing_point_file_never_holds(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--json"), ("verify", "--duality", "--json")])
+def test_overflowing_point_file_prints_strict_json(capsys, tmp_path, argv):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_FILE)
+    code, out, _ = invoke(capsys, *argv, "--in", str(path))
+    assert code == 3
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    # the weights overflow: wK and wE are inf and wD is inf - inf
+    assert all(r["wK"] is None and r["wD"] is None for r in rows if "wK" in r)
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "seq.csv"
     code, out, _ = invoke(capsys, "sequence", "--terms", "4", "--out", str(path))

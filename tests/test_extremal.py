@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cycleweights import extremal
 from cycleweights.bounds import K5_LOWER, K5_UPPER
@@ -11,7 +15,9 @@ from cycleweights.extremal import (
     optimize,
     ratio,
 )
-from cycleweights.geometry import Configuration, random_config, regular_polygon
+from cycleweights.geometry import (
+    Configuration, normalized_points, ordered_sum, random_config, regular_polygon,
+)
 
 
 def test_ratio_examples():
@@ -38,16 +44,58 @@ def test_optimize_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "args, calls", [((3, 5, 2, MAXIMIZE, 2, 40), 1551), ((4, 4, 3, MINIMIZE, 2, 30), 1412)]
-)
-def test_optimize_normalizes_once_per_start_and_candidate(monkeypatch, args, calls):
-    # the benchmark's traced evaluation count is these calls minus the restarts
+def closed_form(n, objective):
+    """Extreme eigenvalue of the n-cycle's Laplacian over n: the exact extreme
+    of w(E)/w(K_n), at k = 1 for the minimum and k = n // 2 for the maximum."""
+    k = 1 if objective == MINIMIZE else n // 2
+    return (2 - 2 * math.cos(2 * math.pi * k / n)) / n
+
+
+@pytest.mark.parametrize("objective", [MINIMIZE, MAXIMIZE])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_optimize_reaches_closed_form(n, dim, objective):
+    for seed in (1, 2, 3):
+        res = optimize(seed, n, dim, objective, restarts=20, budget=500)
+        assert abs(res.value - closed_form(n, objective)) <= 1e-12
+        assert res.value == ratio(res.config, res.cycle)
+        steps = zip(res.history, res.history[1:])
+        assert all((a < b) if objective == MAXIMIZE else (a > b) for a, b in steps)
+        assert res.within_bounds is (True if n in (4, 5) else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 7).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-1, 1), min_size=n, max_size=n), min_size=2, max_size=3)))
+def test_move_slopes_match_full_recompute(raw):
+    cols = normalized_points(raw)
+    assume(cols is not None)
+    n = len(cols[0])
+    w_e0, w_k0 = extremal._identity_weights(cols)
+    for i in range(n):
+        for j, col in enumerate(cols):
+            g_k, g_e = extremal._slopes(col, i, ordered_sum(col))
+            for delta in (0.25, -0.25, 1e-3, -1e-3, 1e-9, -1e-9):
+                moved = col[:]
+                moved[i] += delta
+                w_e, w_k = extremal._identity_weights(cols[:j] + [moved] + cols[j + 1:])
+                screened_k = w_k0 + delta * (g_k + (n - 1) * delta)
+                screened_e = w_e0 + delta * (g_e + 2 * delta)
+                # relative to the recomputed weight, or to the unmoved w(K_n) = 1
+                # where a move nearly collapses the points
+                assert abs(screened_k - w_k) <= 1e-12 * max(w_k, w_k0)
+                assert abs(screened_e - w_e) <= 1e-12 * max(w_e, w_k0)
+
+
+@pytest.mark.parametrize("args", [(3, 5, 2, MAXIMIZE, 2, 40), (4, 4, 3, MINIMIZE, 2, 30)])
+def test_optimize_normalizes_once_per_start_and_rescore(monkeypatch, args):
     seen = []
     inner = extremal.normalized_points
     monkeypatch.setattr(extremal, "normalized_points", lambda cols: seen.append(None) or inner(cols))
-    optimize(*args)
-    assert len(seen) == calls
+    res = optimize(*args)
+    assert len(seen) == res.restarts + res.rescores
+    assert res.acceptances <= res.rescores < res.evals / 10
+    assert res.acceptances >= len(res.history) - 1 and res.halvings > 0
 
 
 def test_optimize_value_matches_witness():

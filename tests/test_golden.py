@@ -25,3 +25,17 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch):
     expected = (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")
     assert code == case["exit"]
     assert out == expected
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if "--json" in c["argv"]],
+                         ids=lambda c: c["name"])
+def test_json_golden_output_is_strict_json(case):
+    text = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)

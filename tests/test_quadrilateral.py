@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleweights.checks import HOLDS, VIOLATED
+from cycleweights.checks import HOLDS, VIOLATED, relative_residual
 from cycleweights.errors import UsageError
 from cycleweights.geometry import FLOAT, RATIONAL, midpoint, squared_distance
 from cycleweights.quadrilateral import (
@@ -172,6 +172,15 @@ def test_fuzz_identity_rational_exact():
     rep = fuzz_identity(6, 25, mode=RATIONAL)
     assert rep.violations == 0
     assert rep.max_rel_residual == 0.0
+
+
+def test_relative_residual_scales_by_largest_term():
+    assert relative_residual(Fraction(-3), Fraction(1), Fraction(-5)) == Fraction(1, 2)
+    assert relative_residual(2.0, -3.0) == 0.5
+    # a zero residual comes back as its magnitude, of its own type
+    zero = relative_residual(Fraction(0), Fraction(7))
+    assert zero == 0 and isinstance(zero, Fraction)
+    assert str(relative_residual(-0.0, 5.0)) == "0.0"
 
 
 def test_fuzz_identity_validation():
