@@ -1,11 +1,11 @@
 """Verification and exploration toolkit for squared-distance cycle weights.
 
 Edge weights on a complete graph over points in the plane or 3-space
-are *squared* Euclidean distances.  The package checks the sharp bounds
-on Hamiltonian cycle weights for 4 and 5 points, the four-point
-midpoint relation behind them, the five-point midpoint iteration and
-its exact rational shadow sequence, and searches for extremal ratios
-on larger point counts.
+are *squared* Euclidean distances.  The package checks Hamiltonian cycle
+weights against their sharp spectral interval on 3 to 10 points, the
+four-point midpoint relation behind the 4-point bound, the five-point
+midpoint iteration and its exact rational shadow sequence, and searches
+for extremal ratios.
 """
 
 from .bounds import (
@@ -13,13 +13,12 @@ from .bounds import (
     CycleRow,
     DualityReport,
     DualityRow,
-    K4_LOWER,
-    K5_LOWER,
-    K5_UPPER,
+    check_bounds,
     check_k4_bounds,
     check_k5_bounds,
     duality_check,
     fuzz,
+    spectral_interval,
 )
 from .checks import (
     DEGENERATE,

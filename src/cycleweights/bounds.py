@@ -1,24 +1,25 @@
-"""Cycle-weight bounds on 4- and 5-point configurations.
+"""Cycle-weight bounds on n points: the spectral interval.
 
-For squared-distance weights every Hamiltonian cycle E on 4 points
-satisfies
+Centered, w(K_n) = n sum |p_i|^2, so w(E)/w(K_n) is a Rayleigh quotient of
+the cycle Laplacian over n, and for every n and dimension (Brouwer &
+Haemers, Spectra of Graphs, 2012)
 
-    1/2 <= w(E) / w(K4) < 1
+    (2 - 2cos(2 pi/n))/n  <=  w(E)/w(K_n)  <=  (2 - 2cos(2 pi floor(n/2)/n))/n.
 
-(lower bound attained, upper bound approached but never reached), and
-on 5 points
+The regular n-gon attains the lower end, its star polygon the upper one for
+odd n.  For even n the upper end 4/n needs alternate points to coincide, so
+reaching it is degenerate.  n = 4 gives 1/2 <= ratio < 1 and n = 5
+(5 -+ sqrt 5)/10, where a cycle's complement is a cycle of ratio 1 - its own.
 
-    (5 - sqrt(5))/10 <= w(E) / w(K5) <= (5 + sqrt(5))/10
-
-with both ends attained (regular pentagon).  On 5 points the
-complement of a cycle is again a cycle and the two ratios sum to 1
-exactly, which makes the two K5 bounds equivalent statements.
-
-Float mode classifies each cycle with a tolerance band around the
-bounds; rational mode decides everything exactly, on int weights over
-the configuration's common denominator, comparing against sqrt(5) via
-the squaring transform  t = 10 w(E) - 5 w(K5):
-both bounds together are |t| <= sqrt(5) w(K5), i.e. t^2 <= 5 w(K5)^2.
+The ends are roots of P = T_{n+1}(y) - y T_n(y), y = 1 - n lam/2, which is
+-sin t sin nt at y = cos t: its roots lam_j = (2 - 2cos(j pi/n))/n, j = 0..n,
+are simple, and the ends are lam_2 and lam_{2 floor(n/2)}.  Float midpoints
+isolate the roots, checked exactly (Collins & Akritas, SYMSAC 1976), and each
+end's bracket is bisected until both its ends round to one float, the end
+correctly rounded.  Float mode compares ratios with those floats within a
+tolerance; rational mode decides exactly on int weights over the common
+denominator: one cross-multiplication outside an end's bracket, the sign of
+P inside it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .checks import (
     DEGENERATE,
@@ -39,14 +41,10 @@ from .cycles import (
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, MODES, RATIONAL, column_pair_weights, integer_columns, ordered_sum,
+    Configuration, FLOAT, RATIONAL, column_pair_weights, integer_columns, ordered_sum,
     pair_weights, random_config,
 )
 from .prng import MASK64, mix64
-
-K4_LOWER = 0.5
-K5_LOWER = (5 - math.sqrt(5)) / 10
-K5_UPPER = (5 + math.sqrt(5)) / 10
 
 
 @dataclass(frozen=True)
@@ -102,43 +100,86 @@ class DualityReport:
     rows: tuple
 
 
-def _classify_k4(w_e, w_k, tolerance: float, mode: str):
-    """(ratio, verdict) for 1/2 w(K4) <= w(E) < w(K4) on one cycle.  Rational
-    mode decides on the weights alone: its ratio is None, built only if reported."""
-    if w_k == 0:
-        return None, DEGENERATE
-    w_d = w_k - w_e
+def _sign(poly, n: int, p, q) -> int:
+    """Sign of P at lam = p/q, q > 0: P's homogenized form at y = (2q - np)/(2q)."""
+    y, z = 2 * q - n * p, 2 * q
+    h, zk = poly[-1], z
+    for c in reversed(poly[:-1]):
+        h, zk = h * y + c * zk, zk * z
+    return (h > 0) - (h < 0)
+
+
+@lru_cache(maxsize=None)
+def _spectrum(n: int) -> tuple:
+    """(lo, hi, n, P, lower end, upper end), built on first use for each n.
+
+    P holds the coefficients of P(y), constant first.  An end is (a, a_den,
+    b, b_den, sign of P at a/a_den), for a bracket a/a_den < lam <= b/b_den
+    holding no other root.
+    """
+    if not 3 <= n <= 10:
+        raise UsageError("bound checks exist for n = 3 to 10")
+    prev, cur = [1], [0, 1]  # T_0, T_1
+    for _ in range(n):
+        prev, cur = cur, [2 * c - d for c, d in zip([0] + cur, prev + [0, 0])]
+    poly = tuple(c - d for c, d in zip(cur, [0] + prev))
+    roots = [(2 - 2 * math.cos(j * math.pi / n)) / n for j in range(n + 1)]
+    seps = [Fraction(-1), *(Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])), Fraction(2)]
+    signs = [_sign(poly, n, s.numerator, s.denominator) for s in seps]
+    if any(a * b >= 0 for a, b in zip(signs, signs[1:])):
+        raise ArithmeticError(f"float separators do not isolate the roots for n = {n}")
+    ends = []
+    for j in (2, 2 * (n // 2)):
+        # lam_j is the only root in (seps[j], seps[j + 1])
+        a, b = seps[j], seps[j + 1]
+        while float(a) != float(b):
+            m = (a + b) / 2
+            a, b = (m, b) if _sign(poly, n, m.numerator, m.denominator) == signs[j] else (a, m)
+        ends.append((a.numerator, a.denominator, b.numerator, b.denominator, signs[j]))
+    lo, hi = (float(Fraction(a, a_den)) for a, a_den, *_ in ends)
+    return lo, hi, n, poly, *ends
+
+
+def spectral_interval(n: int) -> tuple:
+    """(lo, hi), the range of w(E)/w(K_n) for n = 3..10, each end correctly rounded."""
+    return _spectrum(n)[:2]
+
+
+def _side(poly, n, w_e, w_k, end) -> int:
+    """-1, 0 or 1 as w_e / w_k (w_k > 0) lies below, at or above the bracketed root."""
+    a, a_den, b, b_den, sign_a = end
+    if w_e * a_den <= a * w_k:
+        return -1
+    if w_e * b_den > b * w_k:
+        return 1
+    # P keeps sign_a from a up to its one root in the bracket, then flips
+    return -sign_a * _sign(poly, n, w_e, w_k)
+
+
+def _classify(spec, w_e, w_k, tolerance: float, mode: str):
+    """``classify`` for w_k > 0, given the configuration's ``_spectrum``."""
+    lo, hi, n, poly, lo_end, hi_end = spec
     if mode == RATIONAL:
-        if w_d == 0:
-            # upper end: only reachable when two points coincide
-            return None, DEGENERATE
-        if 2 * w_e < w_k:
+        below, above = _side(poly, n, w_e, w_k, lo_end), _side(poly, n, w_e, w_k, hi_end)
+        if below < 0 or above > 0:
             return None, VIOLATED
-        return None, (HOLDS_WITH_EQUALITY if 2 * w_e == w_k else HOLDS)
+        if above == 0 and n % 2 == 0:
+            return None, DEGENERATE
+        return None, (HOLDS_WITH_EQUALITY if below == 0 or above == 0 else HOLDS)
     ratio = w_e / w_k
-    if w_d <= tolerance * w_k:
+    if n % 2 == 0 and hi * w_k - w_e <= tolerance * w_k:
         return ratio, DEGENERATE
-    if ratio < K4_LOWER - tolerance:
+    if ratio < lo - tolerance or ratio > hi + tolerance:
         return ratio, VIOLATED
-    if abs(ratio - K4_LOWER) <= tolerance:
+    if abs(ratio - lo) <= tolerance or abs(ratio - hi) <= tolerance:
         return ratio, HOLDS_WITH_EQUALITY
     return ratio, HOLDS
 
 
-def _classify_k5(w_e, w_k, tolerance: float, mode: str):
-    """(ratio, verdict) for the (5 -+ sqrt(5))/10 bounds, as for K4."""
-    if w_k == 0:
-        return None, DEGENERATE
-    if mode == RATIONAL:
-        # t^2 == 5 w_k^2 would make sqrt(5) rational, so no equality case
-        t = 10 * w_e - 5 * w_k
-        return None, (HOLDS if t * t < 5 * w_k * w_k else VIOLATED)
-    ratio = w_e / w_k
-    if ratio < K5_LOWER - tolerance or ratio > K5_UPPER + tolerance:
-        return ratio, VIOLATED
-    if abs(ratio - K5_LOWER) <= tolerance or abs(ratio - K5_UPPER) <= tolerance:
-        return ratio, HOLDS_WITH_EQUALITY
-    return ratio, HOLDS
+def classify(w_e, w_k, n: int, tolerance: float, mode: str):
+    """(ratio, verdict) of one cycle on n points; rational mode is exact and
+    leaves the ratio None.  For even n the upper end is degenerate."""
+    return (None, DEGENERATE) if w_k == 0 else _classify(_spectrum(n), w_e, w_k, tolerance, mode)
 
 
 def _check_rows(configs, tolerance: float, keep_all: bool):
@@ -151,14 +192,14 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
     (first value kept, replaced only on a strict < or >, as ``min``/``max``
     do).  A CycleRow is built only for rows that are reported: all of them
     when ``keep_all``, otherwise the violated and degenerate ones.  Config
-    ids count from 0.
+    ids count from 0.  ``_spectrum`` refuses an n outside 3..10.
     """
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
     lo = hi = None  # extreme ratios; (w_e, w_k) pairs in rational mode
     kept = []
     for config_id, config in enumerate(configs):
         n, mode = config.n, config.mode
-        classify = _classify_k4 if n == 4 else _classify_k5
+        spec = _spectrum(n)
         if mode == RATIONAL:
             cols, den = integer_columns(config.points)
             w, unit = column_pair_weights(cols), den * den
@@ -178,7 +219,9 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
             lo = r_lo if lo is None or r_lo < lo else lo
             hi = r_hi if hi is None or r_hi > hi else hi
         for cycle, w_e in zip(enumerate_cycles(n), w_es):
-            ratio, verdict = classify(w_e, w_k, tolerance, mode) if has_ratio else (None, DEGENERATE)
+            ratio, verdict = (
+                _classify(spec, w_e, w_k, tolerance, mode) if has_ratio else (None, DEGENERATE)
+            )
             counts[verdict] += 1
             if keep_all or verdict in (VIOLATED, DEGENERATE):
                 weights = (w_e, w_k - w_e, w_k)
@@ -203,27 +246,31 @@ def _require_tolerance(tolerance):
         raise UsageError("tolerance must be positive")
 
 
-def check_k4_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
-    """Check every cycle of a 4-point configuration against the K4 bounds."""
+def check_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
+    """Check every cycle of one configuration against the spectral interval."""
     _require_tolerance(tolerance)
+    return _aggregate(config.n, config.mode, tolerance, 1, *_check_rows((config,), tolerance, True))
+
+
+def check_k4_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
+    """``check_bounds`` on exactly 4 points."""
     if config.n != 4:
         raise UsageError("K4 bounds need exactly 4 points")
-    return _aggregate(4, config.mode, tolerance, 1, *_check_rows((config,), tolerance, True))
+    return check_bounds(config, tolerance)
 
 
 def check_k5_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
-    """Check every cycle of a 5-point configuration against the K5 bounds."""
-    _require_tolerance(tolerance)
+    """``check_bounds`` on exactly 5 points."""
     if config.n != 5:
         raise UsageError("K5 bounds need exactly 5 points")
-    return _aggregate(5, config.mode, tolerance, 1, *_check_rows((config,), tolerance, True))
+    return check_bounds(config, tolerance)
 
 
 def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityReport:
     """Verify ratio(E) + ratio(complement E) = 1 for all 12 cycles on 5 points.
 
-    Also flags where each cycle sits against the two K5 bounds and
-    checks the exchange symmetry: E attains the lower bound exactly
+    Also flags where each cycle sits against the two ends of the interval
+    and checks the exchange symmetry: E attains the lower end exactly
     when its complement attains the upper one.  The default tolerance
     is tight (1e-12) because each ratio is a handful of float ops.
     """
@@ -233,6 +280,7 @@ def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityRep
     w_k = total_weight(config)
     if not 0 < w_k < math.inf:
         raise DegenerateError("all points coincide, or the total weight overflows; no ratio")
+    ends = spectral_interval(5)
     rows = []
     ok = True
     for cycle in enumerate_cycles(5):
@@ -241,20 +289,16 @@ def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityRep
         r_d = cycle_weight(config, comp) / w_k
         residual = r_e + r_d - 1
         if config.mode == RATIONAL:
-            # sqrt(5) is irrational, so no rational ratio attains a K5 bound
+            # both ends are irrational, so no rational ratio attains one
             lo_e = hi_e = False
             ok = ok and residual == 0
         else:
-            lo_e, hi_e = _attains(r_e, tolerance)
+            lo_e, hi_e = (abs(r_e - end) <= tolerance for end in ends)
+            lo_d, hi_d = (abs(r_d - end) <= tolerance for end in ends)
             # bound exchange: E at the bottom iff its complement at the top
-            ok = ok and abs(residual) <= tolerance and (hi_e, lo_e) == _attains(r_d, tolerance)
+            ok = ok and abs(residual) <= tolerance and (hi_e, lo_e) == (lo_d, hi_d)
         rows.append(DualityRow(cycle, comp, r_e, r_d, residual, lo_e, hi_e))
     return DualityReport(config.mode, tolerance, HOLDS if ok else VIOLATED, tuple(rows))
-
-
-def _attains(ratio, tolerance: float) -> tuple:
-    """Whether a float ratio sits at the (lower, upper) K5 bound."""
-    return abs(ratio - K5_LOWER) <= tolerance, abs(ratio - K5_UPPER) <= tolerance
 
 
 def fuzz(
@@ -265,19 +309,16 @@ def fuzz(
     tolerance: float = REL_TOL_DERIVED,
     mode: str = FLOAT,
 ) -> BoundReport:
-    """Check the K4 or K5 bounds on ``trials`` random configurations.
+    """Check the spectral interval on ``trials`` random configurations of n points.
 
     Trial i draws its configuration from the derived seed
     mix64(seed + i); any trial can be replayed alone with that seed.
-    The report keeps only violated/degenerate rows.
+    The report keeps only violated/degenerate rows.  An unsupported n,
+    dim or mode raises UsageError when the first trial is drawn.
     """
     _require_tolerance(tolerance)
     if trials < 1:
         raise UsageError("trials must be at least 1")
-    if n not in (4, 5):
-        raise UsageError("bound checks exist for n = 4 and n = 5 only")
-    if mode not in MODES:
-        raise UsageError(f"unknown scalar mode {mode!r}")
     configs = (
         random_config(mix64((seed + i) & MASK64), n, dim, mode) for i in range(trials)
     )

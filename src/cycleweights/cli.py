@@ -89,8 +89,8 @@ def _emit(args, records, lines) -> None:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
 
 
-def _load(args, counts) -> Configuration:
-    """The --in point file ('-' reads stdin), holding one of ``counts`` points."""
+def _load(args, n=None) -> Configuration:
+    """The --in point file ('-' reads stdin), holding n points if n is given."""
     try:
         if args.infile == "-":
             text = sys.stdin.read()
@@ -99,9 +99,8 @@ def _load(args, counts) -> Configuration:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.infile}: {exc}") from None
     config = parse_points(text)
-    if config.n not in counts:
-        allowed = " or ".join(str(n) for n in counts)
-        raise UsageError(f"{args.command} takes {allowed} points, the file has {config.n}")
+    if n is not None and config.n != n:
+        raise UsageError(f"{args.command} takes {n} points, the file has {config.n}")
     return config
 
 
@@ -125,12 +124,6 @@ def _seed(text: str) -> int:
     if not 0 <= value <= MASK64:
         raise argparse.ArgumentTypeError(f"must be an integer from 0 to 2**64 - 1, got {text!r}")
     return value
-
-
-def _bounds_report(config, tolerance):
-    """The K4 or the K5 bound check, chosen by the point count."""
-    check = bounds_mod.check_k4_bounds if config.n == 4 else bounds_mod.check_k5_bounds
-    return check(config, tolerance)
 
 
 def _row_json(row, *drop) -> dict:
@@ -172,13 +165,11 @@ def _cmd_verify(args) -> int:
         raise UsageError("provide exactly one of --in or --fuzz")
     duality = None
     if args.infile is not None:
-        config = _load(args, (4, 5))
+        config = _load(args)
         if args.n is not None and args.n != config.n:
             raise UsageError(f"--n {args.n} does not match file ({config.n} points)")
-        report = _bounds_report(config, args.tol)
+        report = bounds_mod.check_bounds(config, args.tol)
         if args.duality:
-            if config.n != 5:
-                raise UsageError("--duality needs 5 points")
             duality = bounds_mod.duality_check(config)
     else:
         if args.n is None:
@@ -237,7 +228,7 @@ def _cmd_identity(args) -> int:
         )
         return 1 if rep.violations else 0
 
-    config = _load(args, (4,))
+    config = _load(args, 4)
     pairings = (0, 1, 2) if args.pairing == "all" else (int(args.pairing),)
     reports = [
         quad_mod.verify_identity(
@@ -274,7 +265,7 @@ def _cmd_identity(args) -> int:
 
 def _cmd_iterate(args) -> int:
     if args.infile is not None:
-        config = _load(args, (5,))
+        config = _load(args, 5)
     elif args.polygon:
         config = regular_polygon(5, args.radius)
     elif args.seed is not None:
@@ -378,9 +369,8 @@ def _cmd_optimize(args) -> int:
 
         def lines():
             for r in rows:
-                proven = " ".join(_fmt(b) for b in r.proven) if r.proven else "none"
                 yield (f"n={r.n} min {_fmt(r.minimum.value)} max {_fmt(r.maximum.value)}"
-                       f" proven {proven} status {r.status}")
+                       f" proven {' '.join(_fmt(b) for b in r.proven)}")
                 yield (f"  cycle_check min {r.min_cycle} {_fmt(r.min_cycle_value)}"
                        f" max {r.max_cycle} {_fmt(r.max_cycle_value)}")
 
@@ -394,11 +384,10 @@ def _cmd_optimize(args) -> int:
             yield _optimize_json(res)
 
         def lines():
-            bound = " ".join(_fmt(b) for b in res.bound) if res.bound else "none"
             header = _kv(res, "n", "dim", "objective", "restarts")
             yield f"optimize {header} budget={args.budget}"
             yield f"value {_fmt(res.value)}"
-            yield f"bound {bound} within_bounds {res.within_bounds}"
+            yield f"bound {' '.join(_fmt(b) for b in res.bound)} within_bounds {res.within_bounds}"
             yield f"cycle {res.cycle}"
             yield (f"best_restart {res.best_restart} sweeps {res.sweeps}"
                    f" accepted {len(res.history)}")
@@ -406,7 +395,7 @@ def _cmd_optimize(args) -> int:
             yield from format_points(res.config).splitlines()
 
     _emit(args, records, lines)
-    return 1 if any(res.within_bounds is False for res in results) else 0
+    return 0 if all(res.within_bounds for res in results) else 1
 
 
 # --- pentagon ---------------------------------------------------------
@@ -420,22 +409,18 @@ def _cmd_pentagon(args) -> int:
     config = regular_polygon(args.n, args.radius)
     # a radius so small or so large that w(K_n) is 0 or not finite leaves no ratio
     out_of_range = f"squared distances under- or overflow at radius {args.radius!r}"
-    report = None
-    if args.n in (4, 5):
-        report = _bounds_report(config, REL_TOL_DERIVED)
-        if report.degenerate:
-            raise DegenerateError(out_of_range)
-        count, lo, hi = report.checks, report.min_ratio, report.max_ratio
-    else:
-        # division by w_k > 0 is monotone, so dividing the extreme weights
-        # gives the same bits as taking the extremes of the ratios
-        weights = cycle_weights(config.points)
-        w_k = total_weight(config)
-        if not 0 < w_k < math.inf:
-            raise DegenerateError(out_of_range)
-        count, lo, hi = len(weights), min(weights) / w_k, max(weights) / w_k
+    # division by w_k > 0 is monotone, so dividing the extreme weights
+    # gives the same bits as taking the extremes of the ratios
+    weights = cycle_weights(config.points)
+    w_k = total_weight(config)
+    if not 0 < w_k < math.inf:
+        raise DegenerateError(out_of_range)
+    count, lo, hi = len(weights), min(weights) / w_k, max(weights) / w_k
+    # per-cycle rows for n = 4 and 5 only: n = 10 has 181,440 cycles
+    report = bounds_mod.check_bounds(config, REL_TOL_DERIVED) if args.n in (4, 5) else None
     violations = report.violations if report is not None else 0
-    targets = (("lower", lo, bounds_mod.K5_LOWER), ("upper", hi, bounds_mod.K5_UPPER))
+    ends = bounds_mod.spectral_interval(5) if args.check else ()
+    targets = tuple(zip(("lower", "upper"), (lo, hi), ends))
     ok = {end: abs(value - target) <= args.tol for end, value, target in targets}
 
     def records():
@@ -444,8 +429,8 @@ def _cmd_pentagon(args) -> int:
         if report is not None:
             obj["rows"] = [_row_json(r, "config_id") for r in report.rows]
         if args.check:
-            obj["check"] = {"lower_target": bounds_mod.K5_LOWER, "lower_ok": ok["lower"],
-                            "upper_target": bounds_mod.K5_UPPER, "upper_ok": ok["upper"],
+            obj["check"] = {"lower_target": ends[0], "lower_ok": ok["lower"],
+                            "upper_target": ends[1], "upper_ok": ok["upper"],
                             "tolerance": args.tol}
         yield obj
 
@@ -455,12 +440,11 @@ def _cmd_pentagon(args) -> int:
             for r in report.rows:
                 yield f"cycle {r.cycle} ratio {_fmt(r.ratio)} verdict {r.verdict}"
         yield f"extremes min {_fmt(lo)} max {_fmt(hi)}"
-        if args.check:
-            for end, value, target in targets:
-                yield f"{end} observed {_fmt(value)} target {_fmt(target)} ok {ok[end]}"
+        for end, value, target in targets:
+            yield f"{end} observed {_fmt(value)} target {_fmt(target)} ok {ok[end]}"
 
     _emit(args, records, lines)
-    return 1 if violations or (args.check and not all(ok.values())) else 0
+    return 1 if violations or not all(ok.values()) else 0
 
 
 # --- parser -----------------------------------------------------------
@@ -478,7 +462,7 @@ def _add_common(p, *, seed=True, mode=True):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycleweights",
-        description="verify and explore squared-distance cycle weights on K4/K5",
+        description="verify and explore squared-distance cycle weights on K_n",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -490,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_gen, seed=0)
 
-    p = sub.add_parser("verify", help="check the K4/K5 cycle-weight bounds")
+    p = sub.add_parser("verify", help="check cycle weights against the spectral interval")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--fuzz", type=int, nargs="?", const=-1, default=None, metavar="TRIALS")
     p.add_argument("--trials", type=int, default=1000)

@@ -4,7 +4,9 @@ The ratio of interest is w(E)/w(K_n) for the identity cycle
 (0, 1, ..., n-1); by vertex relabeling every cycle's ratio range is
 the same, so optimizing this one objective explores them all.  The
 ratio is scale- and translation-invariant, which makes the unit-weight
-normalized configurations a compact search space.
+normalized configurations a compact search space.  Each result is set
+against the exact range, ``bounds.spectral_interval(n)``, which the
+search is a numerical cross-check of.
 
 The optimizer is a deterministic multi-start coordinate pattern search
 (Hooke & Jeeves 1961, Torczon 1997): from a seeded random start
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .bounds import K5_LOWER, K5_UPPER
+from .bounds import spectral_interval
 from .cycles import (
     Cycle, canonicalize, cycle_edges, cycle_weight, cycle_weights, enumerate_cycles,
     total_weight,
@@ -50,9 +52,6 @@ MINIMIZE = "minimize"
 _H_INITIAL = 0.25
 _H_FLOOR = 1e-9
 
-# proven ratio intervals, by n; elsewhere the search is exploratory
-PROVEN_INTERVALS = {4: (0.5, 1.0), 5: (K5_LOWER, K5_UPPER)}
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -60,8 +59,8 @@ class OptimizationResult:
 
     ``value`` is the best objective found; ``history`` lists the
     accepted values of the winning restart in order.  ``bound`` is the
-    proven interval for this n (None when there is none) and
-    ``within_bounds`` allows a 1e-9 guard band around it.
+    spectral interval for this n and ``within_bounds`` allows a 1e-9 guard
+    band around it.
 
     The counters are summed over all restarts: ``evals`` candidates were
     screened, ``rescores`` of them passed the screen and were normalized
@@ -94,14 +93,13 @@ class ConjectureRow:
     ``min_cycle``/``max_cycle`` are the extreme cycles when *all*
     cycles are enumerated on the witness configurations; their values
     can only improve on the identity-cycle search value (relabeling
-    symmetry), never beat it by much.
+    symmetry), never beat it by much.  ``proven`` is the spectral interval.
     """
 
     n: int
     minimum: OptimizationResult
     maximum: OptimizationResult
     proven: tuple
-    status: str
     min_cycle: Cycle
     min_cycle_value: float
     max_cycle: Cycle
@@ -214,10 +212,8 @@ def optimize(
             best = (r, value, pts, tuple(history), sweeps)
     best_restart, value, pts, history, _ = best
     config = Configuration(tuple(zip(*pts)), FLOAT)
-    bound = PROVEN_INTERVALS.get(n)
-    within = None
-    if bound is not None:
-        within = bound[0] - 1e-9 <= value <= bound[1] + 1e-9
+    bound = spectral_interval(n)
+    within = bound[0] - 1e-9 <= value <= bound[1] + 1e-9
     return OptimizationResult(
         n, dim, objective, value, config, canonicalize(range(n)),
         restarts, total_sweeps, best_restart, bound, within, history,
@@ -232,7 +228,7 @@ def conjecture_table(
     restarts: int = 20,
     budget: int = 500,
 ) -> tuple:
-    """Observed extremal ratios per n, next to the proven intervals.
+    """Observed extremal ratios per n, next to the spectral intervals.
 
     For each witness configuration the table also reports the true
     extreme cycle over full enumeration, as a relabeling-consistency
@@ -240,20 +236,11 @@ def conjecture_table(
     """
     rows = []
     for n in n_values:
-        if not 4 <= n <= 7:
-            raise UsageError("conjecture table supports 4 <= n <= 7")
         lo = optimize(seed, n, dim, MINIMIZE, restarts, budget)
         hi = optimize(seed, n, dim, MAXIMIZE, restarts, budget)
         min_cy, min_val = _extreme_cycle(lo.config, minimize=True)
         max_cy, max_val = _extreme_cycle(hi.config, minimize=False)
-        proven = PROVEN_INTERVALS.get(n)
-        rows.append(
-            ConjectureRow(
-                n, lo, hi, proven,
-                "proven" if proven is not None else "conjectured",
-                min_cy, min_val, max_cy, max_val,
-            )
-        )
+        rows.append(ConjectureRow(n, lo, hi, lo.bound, min_cy, min_val, max_cy, max_val))
     return tuple(rows)
 
 

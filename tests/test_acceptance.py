@@ -11,7 +11,7 @@ import math
 import time
 from fractions import Fraction
 
-from cycleweights.bounds import K5_LOWER, K5_UPPER, check_k4_bounds, check_k5_bounds, fuzz
+from cycleweights.bounds import check_k4_bounds, check_k5_bounds, fuzz, spectral_interval
 from cycleweights.checks import HOLDS_WITH_EQUALITY
 from cycleweights.cli import run
 from cycleweights.cycles import canonicalize, complement_cycle, enumerate_cycles
@@ -40,6 +40,7 @@ from cycleweights.sequences import (
 )
 
 SIDES = canonicalize(range(5))
+K5_ENDS = ((5 - math.sqrt(5)) / 10, (5 + math.sqrt(5)) / 10)
 
 
 def _report(num: int, desc: str, problems: list):
@@ -109,10 +110,10 @@ def test_criterion_04_k5_bounds():
     if not (0.2763932023 - 1e-9 <= rep.min_ratio and rep.max_ratio <= 0.7236067977 + 1e-9):
         problems.append(f"ratio range [{rep.min_ratio}, {rep.max_ratio}]")
     pent = check_k5_bounds(regular_polygon(5, 1.0))
-    if abs(pent.min_ratio - K5_LOWER) > 1e-12:
-        problems.append(f"pentagon lower equality off by {abs(pent.min_ratio - K5_LOWER)}")
-    if abs(pent.max_ratio - K5_UPPER) > 1e-12:
-        problems.append(f"pentagon upper equality off by {abs(pent.max_ratio - K5_UPPER)}")
+    if abs(pent.min_ratio - K5_ENDS[0]) > 1e-12:
+        problems.append(f"pentagon lower equality off by {abs(pent.min_ratio - K5_ENDS[0])}")
+    if abs(pent.max_ratio - K5_ENDS[1]) > 1e-12:
+        problems.append(f"pentagon upper equality off by {abs(pent.max_ratio - K5_ENDS[1])}")
     if pent.equalities != 2:
         problems.append(f"pentagon equalities {pent.equalities}")
     _report(4, "K5 bounds: 10k fuzz configs + pentagon equalities", problems)
@@ -250,3 +251,12 @@ def test_criterion_10_cli_determinism(capsys):
         if code1 != code2 or out1 != out2:
             problems.append(f"nondeterministic output for {' '.join(argv)}")
     _report(10, "repeated CLI invocations are byte-identical", problems)
+
+
+def test_criterion_11_spectral_interval_ends():
+    problems = []
+    if spectral_interval(4) != (0.5, 1.0):
+        problems.append(f"n=4 interval {spectral_interval(4)}")
+    if spectral_interval(5) != K5_ENDS:
+        problems.append(f"n=5 interval {spectral_interval(5)}")
+    _report(11, "spectral interval gives the K4 and K5 ends bit for bit", problems)

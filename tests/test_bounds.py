@@ -1,23 +1,25 @@
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleweights import bounds
 from cycleweights.bounds import (
-    K4_LOWER,
-    K5_LOWER,
-    K5_UPPER,
     CycleRow,
     _aggregate,
     _check_rows,
-    _classify_k4,
-    _classify_k5,
+    check_bounds,
     check_k4_bounds,
     check_k5_bounds,
+    classify,
     duality_check,
     fuzz,
+    spectral_interval,
 )
 from cycleweights.checks import (
     DEGENERATE,
@@ -42,6 +44,7 @@ from cycleweights.prng import mix64
 
 UNIT_SQUARE = Configuration(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 PENTAGON = regular_polygon(5, 1.0)
+K5_LOWER, K5_UPPER = (5 - math.sqrt(5)) / 10, (5 + math.sqrt(5)) / 10
 
 
 def test_unit_square_report():
@@ -87,34 +90,115 @@ def test_all_coincident_every_row_degenerate():
 
 
 def test_classifier_k4_float_bands():
-    assert _classify_k4(0.3, 1.0, 1e-9, FLOAT)[1] == VIOLATED
-    assert _classify_k4(0.7, 1.0, 1e-9, FLOAT)[1] == HOLDS
-    assert _classify_k4(0.5 + 1e-13, 1.0, 1e-9, FLOAT)[1] == HOLDS_WITH_EQUALITY
-    assert _classify_k4(1.0 - 1e-12, 1.0, 1e-9, FLOAT)[1] == DEGENERATE
-    assert _classify_k4(0.4, 0.0, 1e-9, FLOAT) == (None, DEGENERATE)
+    assert classify(0.3, 1.0, 4, 1e-9, FLOAT)[1] == VIOLATED
+    assert classify(0.7, 1.0, 4, 1e-9, FLOAT)[1] == HOLDS
+    assert classify(0.5 + 1e-13, 1.0, 4, 1e-9, FLOAT)[1] == HOLDS_WITH_EQUALITY
+    assert classify(1.0 - 1e-12, 1.0, 4, 1e-9, FLOAT)[1] == DEGENERATE
+    assert classify(0.4, 0.0, 4, 1e-9, FLOAT) == (None, DEGENERATE)
 
 
 def test_classifier_k4_rational_exact():
-    assert _classify_k4(Fraction(2, 5), Fraction(1), 1e-9, RATIONAL)[1] == VIOLATED
-    assert _classify_k4(Fraction(1, 2), Fraction(1), 1e-9, RATIONAL)[1] == HOLDS_WITH_EQUALITY
-    assert _classify_k4(Fraction(3, 5), Fraction(1), 1e-9, RATIONAL)[1] == HOLDS
-    assert _classify_k4(Fraction(1), Fraction(1), 1e-9, RATIONAL)[1] == DEGENERATE
+    assert classify(Fraction(2, 5), Fraction(1), 4, 1e-9, RATIONAL)[1] == VIOLATED
+    assert classify(Fraction(1, 2), Fraction(1), 4, 1e-9, RATIONAL)[1] == HOLDS_WITH_EQUALITY
+    assert classify(Fraction(3, 5), Fraction(1), 4, 1e-9, RATIONAL)[1] == HOLDS
+    assert classify(Fraction(1), Fraction(1), 4, 1e-9, RATIONAL)[1] == DEGENERATE
 
 
 def test_classifier_k5_float_bands():
-    assert _classify_k5(0.2, 1.0, 1e-9, FLOAT)[1] == VIOLATED
-    assert _classify_k5(0.8, 1.0, 1e-9, FLOAT)[1] == VIOLATED
-    assert _classify_k5(0.5, 1.0, 1e-9, FLOAT)[1] == HOLDS
-    assert _classify_k5(K5_LOWER, 1.0, 1e-9, FLOAT)[1] == HOLDS_WITH_EQUALITY
-    assert _classify_k5(K5_UPPER, 1.0, 1e-9, FLOAT)[1] == HOLDS_WITH_EQUALITY
-    assert _classify_k5(0.4, 0.0, 1e-9, FLOAT) == (None, DEGENERATE)
+    assert classify(0.2, 1.0, 5, 1e-9, FLOAT)[1] == VIOLATED
+    assert classify(0.8, 1.0, 5, 1e-9, FLOAT)[1] == VIOLATED
+    assert classify(0.5, 1.0, 5, 1e-9, FLOAT)[1] == HOLDS
+    assert classify(K5_LOWER, 1.0, 5, 1e-9, FLOAT)[1] == HOLDS_WITH_EQUALITY
+    assert classify(K5_UPPER, 1.0, 5, 1e-9, FLOAT)[1] == HOLDS_WITH_EQUALITY
+    assert classify(0.4, 0.0, 5, 1e-9, FLOAT) == (None, DEGENERATE)
 
 
 def test_classifier_k5_rational_squaring():
-    assert _classify_k5(Fraction(1, 5), Fraction(1), 1e-9, RATIONAL)[1] == VIOLATED
-    assert _classify_k5(Fraction(4, 5), Fraction(1), 1e-9, RATIONAL)[1] == VIOLATED
-    assert _classify_k5(Fraction(3, 10), Fraction(1), 1e-9, RATIONAL)[1] == HOLDS
-    assert _classify_k5(Fraction(1, 2), Fraction(1), 1e-9, RATIONAL)[1] == HOLDS
+    assert classify(Fraction(1, 5), Fraction(1), 5, 1e-9, RATIONAL)[1] == VIOLATED
+    assert classify(Fraction(4, 5), Fraction(1), 5, 1e-9, RATIONAL)[1] == VIOLATED
+    assert classify(Fraction(3, 10), Fraction(1), 5, 1e-9, RATIONAL)[1] == HOLDS
+    assert classify(Fraction(1, 2), Fraction(1), 5, 1e-9, RATIONAL)[1] == HOLDS
+
+
+@pytest.mark.parametrize("n, end", [(3, Fraction(1)), (4, Fraction(1, 2)), (6, Fraction(1, 6))])
+def test_classifier_rational_equality_at_rational_ends(n, end):
+    # an int pair and a Fraction pair that both reduce to the end
+    for w_e, w_k in ((end.numerator * 7, end.denominator * 7), (end, Fraction(1))):
+        assert classify(w_e, w_k, n, 1e-9, RATIONAL) == (None, HOLDS_WITH_EQUALITY)
+
+
+@pytest.mark.parametrize("n, end", [(4, Fraction(1)), (6, Fraction(2, 3)), (8, Fraction(1, 2)),
+                                    (10, Fraction(2, 5))])
+def test_classifier_rational_even_upper_end_is_degenerate(n, end):
+    w_e, w_k = end.numerator * 3, end.denominator * 3
+    assert classify(w_e, w_k, n, 1e-9, RATIONAL) == (None, DEGENERATE)
+    # just inside holds, just outside is violated
+    eps = Fraction(1, 10**30)
+    assert classify(end - eps, Fraction(1), n, 1e-9, RATIONAL)[1] == HOLDS
+    assert classify(end + eps, Fraction(1), n, 1e-9, RATIONAL)[1] == VIOLATED
+
+
+IRRATIONAL_ENDS = [(5, 0), (5, 1), (7, 0), (7, 1), (8, 0), (9, 0), (9, 1), (10, 0)]
+
+
+@pytest.mark.parametrize("n, side", IRRATIONAL_ENDS)
+def test_classifier_rational_just_past_each_irrational_end(n, side):
+    """10^-30 from the end decides, though the float end cannot tell it apart."""
+    k = 1 if side == 0 else n // 2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        # the end (2 - 2cos(2 pi k/n))/n to 60 digits, from the Taylor series of cos
+        x = 2 * Decimal(k) / n * Decimal("3.14159265358979323846264338327950288419716939937510582")
+        cos, term = Decimal(0), Decimal(1)
+        for i in range(1, 80):
+            cos, term = cos + term, -term * x * x / ((2 * i - 1) * (2 * i))
+        end = Fraction((2 - 2 * cos) / n)
+    eps = Fraction(1, 10**30)
+    inside, outside = (end + eps, end - eps) if side == 0 else (end - eps, end + eps)
+    assert float(inside) == float(outside) == spectral_interval(n)[side]
+    for w_e, verdict in ((inside, HOLDS), (outside, VIOLATED)):
+        assert classify(w_e, Fraction(1), n, 1e-9, RATIONAL) == (None, verdict)
+        assert classify(w_e.numerator, w_e.denominator, n, 1e-9, RATIONAL) == (None, verdict)
+
+
+def test_spectral_interval_closed_forms():
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root5 = Decimal(5).sqrt()
+        k5 = (float((5 - root5) / 10), float((5 + root5) / 10))
+    assert spectral_interval(3) == (1.0, 1.0)
+    assert spectral_interval(4) == (0.5, 1.0)
+    assert spectral_interval(5) == k5
+    assert spectral_interval(6) == (1 / 6, 2 / 3)
+    assert spectral_interval(8)[1] == 0.5
+    assert spectral_interval(10)[1] == 0.4
+    for n in range(3, 11):
+        lo, hi = spectral_interval(n)
+        for end, k in ((lo, 1), (hi, n // 2)):
+            approx = (2 - 2 * math.cos(2 * math.pi * k / n)) / n
+            assert abs(end - approx) <= math.ulp(end)
+    with pytest.raises(UsageError):
+        spectral_interval(2)
+
+
+def test_spectrum_refuses_separators_that_do_not_isolate_the_roots(monkeypatch):
+    # float roots all at 0: no separator lies strictly between two roots
+    monkeypatch.setattr(bounds, "math", SimpleNamespace(cos=lambda t: 1.0, pi=math.pi))
+    with pytest.raises(ArithmeticError, match="isolate"):
+        bounds._spectrum.__wrapped__(7)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_regular_polygon_sits_at_the_spectral_ends(n):
+    rep = check_bounds(regular_polygon(n, 1.0))
+    lo, hi = spectral_interval(n)
+    assert rep.violations == 0 and rep.degenerate == 0
+    assert abs(rep.min_ratio - lo) <= 1e-12
+    if n % 2:
+        # the star polygon of step n // 2 attains the upper end
+        assert abs(rep.max_ratio - hi) <= 1e-12
+    else:
+        assert rep.max_ratio < hi
 
 
 def test_pentagon_attains_both_bounds():
@@ -212,7 +296,9 @@ def test_fuzz_validation():
     with pytest.raises(UsageError):
         fuzz(1, 0, 4)
     with pytest.raises(UsageError):
-        fuzz(1, 10, 6)
+        fuzz(1, 10, 11)
+    with pytest.raises(UsageError):
+        fuzz(1, 10, 2)
     with pytest.raises(UsageError):
         fuzz(1, 10, 4, mode="decimal")
     with pytest.raises(UsageError):
@@ -240,6 +326,8 @@ def test_fuzz_memory_does_not_grow_with_trials():
 
 def _reference_classify(n, w_e, w_k, tolerance, mode):
     """The classifiers as they were when rational weights were Fractions."""
+    k4_lower = 0.5
+    k5_lower, k5_upper = (5 - math.sqrt(5)) / 10, (5 + math.sqrt(5)) / 10
     if w_k == 0:
         return None, DEGENERATE
     ratio = w_e / w_k
@@ -255,17 +343,17 @@ def _reference_classify(n, w_e, w_k, tolerance, mode):
             return ratio, HOLDS
         if w_d <= tolerance * w_k:
             return ratio, DEGENERATE
-        if ratio < K4_LOWER - tolerance:
+        if ratio < k4_lower - tolerance:
             return ratio, VIOLATED
-        if abs(ratio - K4_LOWER) <= tolerance:
+        if abs(ratio - k4_lower) <= tolerance:
             return ratio, HOLDS_WITH_EQUALITY
         return ratio, HOLDS
     if mode == RATIONAL:
         t = 10 * w_e - 5 * w_k
         return ratio, (HOLDS if t * t < 5 * w_k * w_k else VIOLATED)
-    if ratio < K5_LOWER - tolerance or ratio > K5_UPPER + tolerance:
+    if ratio < k5_lower - tolerance or ratio > k5_upper + tolerance:
         return ratio, VIOLATED
-    if abs(ratio - K5_LOWER) <= tolerance or abs(ratio - K5_UPPER) <= tolerance:
+    if abs(ratio - k5_lower) <= tolerance or abs(ratio - k5_upper) <= tolerance:
         return ratio, HOLDS_WITH_EQUALITY
     return ratio, HOLDS
 

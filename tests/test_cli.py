@@ -150,8 +150,8 @@ def test_verify_usage_errors(capsys, tmp_path):
     assert invoke(capsys, "verify", "--in", str(path), "--n", "5")[0] == 2
     assert invoke(capsys, "verify", "--in", str(tmp_path / "missing.txt"))[0] == 2
     bad = tmp_path / "bad.txt"
-    bad.write_text("points 3 dim 2 mode float\n0 0\n1 0\n0 1\n")
-    assert invoke(capsys, "verify", "--in", str(bad))[0] == 2  # n=3 unsupported
+    bad.write_text("points 2 dim 2 mode float\n0 0\n1 0\n")
+    assert invoke(capsys, "verify", "--in", str(bad))[0] == 2  # n=2 has no cycle
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"\xff\xfe points")
     assert invoke(capsys, "verify", "--in", str(binary))[0] == 2  # not UTF-8
@@ -306,9 +306,8 @@ def test_optimize_conjecture(capsys):
     obj = json.loads(out)
     assert code == 0
     assert [r["n"] for r in obj["rows"]] == [5, 6]
-    assert obj["rows"][0]["status"] == "proven"
-    assert obj["rows"][1]["status"] == "conjectured"
-    assert obj["rows"][1]["proven"] is None
+    assert all("status" not in row for row in obj["rows"])
+    assert obj["rows"][1]["proven"] == [1 / 6, 2 / 3]
 
 
 def test_optimize_errors(capsys):
@@ -556,7 +555,7 @@ FLAGS = {
 # x 500 sweeps) take seconds.
 FUZZ_LEAD = _cat(_opt("--fuzz", FUZZ), _opt("--trials", _count(-1, 20)))
 LEAD = {
-    "verify": st.one_of(_opt("--in", IN), _cat(FUZZ_LEAD, _opt("--n", _count(4, 5)))),
+    "verify": st.one_of(_opt("--in", IN), _cat(FUZZ_LEAD, _opt("--n", _count(3, 7)))),
     "identity": st.one_of(_opt("--in", IN), FUZZ_LEAD),
     "iterate": st.one_of(_opt("--in", IN), _opt("--polygon"), _opt("--seed", _count(0, 99))),
     "optimize": _cat(st.one_of(_opt("--n", _count(4, 7)), _opt("--conjecture")),

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleweights import extremal
-from cycleweights.bounds import K5_LOWER, K5_UPPER
+from cycleweights.bounds import spectral_interval
 from cycleweights.cycles import canonicalize, complement_cycle
 from cycleweights.errors import DegenerateError, UsageError
 from cycleweights.extremal import (
@@ -18,6 +18,8 @@ from cycleweights.extremal import (
 from cycleweights.geometry import (
     Configuration, normalized_points, ordered_sum, random_config, regular_polygon,
 )
+
+K5_LOWER, K5_UPPER = (5 - math.sqrt(5)) / 10, (5 + math.sqrt(5)) / 10
 
 
 def test_ratio_examples():
@@ -61,7 +63,7 @@ def test_optimize_reaches_closed_form(n, dim, objective):
         assert res.value == ratio(res.config, res.cycle)
         steps = zip(res.history, res.history[1:])
         assert all((a < b) if objective == MAXIMIZE else (a > b) for a, b in steps)
-        assert res.within_bounds is (True if n in (4, 5) else None)
+        assert res.within_bounds is True and res.bound == spectral_interval(n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,9 +123,9 @@ def test_optimize_reaches_known_extremes_smallrun():
     assert res.within_bounds
 
 
-def test_optimize_no_bound_for_n6():
+def test_optimize_bound_for_n6():
     res = optimize(1, 6, 2, MAXIMIZE, restarts=1, budget=15)
-    assert res.bound is None and res.within_bounds is None
+    assert res.bound == (1 / 6, 2 / 3) and res.within_bounds is True
     assert 0.0 < res.value < 1.0
 
 
@@ -146,8 +148,7 @@ def test_conjecture_table_proven_rows():
     rows = conjecture_table(3, (4, 5), dim=2, restarts=2, budget=60)
     assert [r.n for r in rows] == [4, 5]
     for r in rows:
-        assert r.status == "proven"
-        assert r.proven is not None
+        assert r.proven == spectral_interval(r.n)
         # enumerating all cycles on the witness can only widen the range
         assert r.min_cycle_value <= r.minimum.value + 1e-15
         assert r.max_cycle_value >= r.maximum.value - 1e-15
@@ -157,10 +158,10 @@ def test_conjecture_table_proven_rows():
     assert k5.maximum.value <= K5_UPPER + 1e-9
 
 
-def test_conjecture_table_exploratory_row():
+def test_conjecture_table_n6_row():
     rows = conjecture_table(3, (6,), dim=2, restarts=1, budget=20)
-    assert rows[0].status == "conjectured"
-    assert rows[0].proven is None
+    assert rows[0].proven == (1 / 6, 2 / 3)
+    assert rows[0].minimum.within_bounds and rows[0].maximum.within_bounds
 
 
 def test_conjecture_table_validation():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cycleweights.bounds import spectral_interval
 from cycleweights.cycles import canonicalize
 from cycleweights.errors import UsageError
 from cycleweights.geometry import RATIONAL, random_config, regular_polygon
@@ -185,3 +186,19 @@ def test_a_perturbed_term_is_violated_without_raising(k, change):
         flags = ("positive_decreasing", "ratio_above_limit", "ratio_nonincreasing",
                  "final_ratio_gap")
         assert [getattr(rep, f) for f in flags] == [getattr(ref, f) for f in flags]
+
+
+def test_rates_are_the_five_point_spectral_ends():
+    """(3 -+ sqrt 5)/8 is 1 - (5/4) times the lower and upper end for n = 5;
+    their sum and product are the recurrence's coefficients 12/16 and 1/16."""
+    lo, hi = spectral_interval(5)
+    rate, conjugate = 1 - 1.25 * lo, 1 - 1.25 * hi
+    assert abs(rate - RATIO_LIMIT) <= 1e-15
+    assert abs(conjugate - (3 - math.sqrt(5)) / 8) <= 1e-15
+    # a_{n+1} = c1 a_n - c0 a_{n-1}, read off a_0 = 0, a_1 = 1, a_2 and a_3
+    a = sequence_table(3).terms
+    c1 = a[2] / a[1]
+    c0 = (c1 * a[2] - a[3]) / a[1]
+    assert (c1, c0) == (Fraction(12, 16), Fraction(1, 16))
+    assert abs(rate + conjugate - c1) <= 1e-15
+    assert abs(rate * conjugate - c0) <= 1e-15
