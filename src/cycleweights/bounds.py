@@ -37,7 +37,7 @@ from .checks import (
     VIOLATED,
 )
 from .cycles import (
-    Cycle, complement_cycle, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+    Cycle, complement_cycle, cycle_sums, cycle_weight, enumerate_cycles, total_weight,
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
@@ -186,38 +186,55 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
     """Classify every cycle of each configuration, as a stream.
 
     Each configuration becomes one pair-weight vector (ints times den**2
-    in rational mode, see ``integer_columns``), and each cycle weight a
-    sum over its edge indices.  If w(K_n) is 0 or not finite, every row is
-    degenerate.  Verdict counts and ratio extremes run as the rows go by
+    in rational mode, see ``integer_columns``), and its cycle weights come
+    from ``cycle_sums``.  If w(K_n) is 0 or not finite, every row is
+    degenerate.  Ratio extremes come from the extreme cycle weights
     (first value kept, replaced only on a strict < or >, as ``min``/``max``
-    do).  A CycleRow is built only for rows that are reported: all of them
-    when ``keep_all``, otherwise the violated and degenerate ones.  Config
-    ids count from 0.  ``_spectrum`` refuses an n outside 3..10.
+    do), and so do the verdicts when rows are not all kept: every test in
+    ``_classify`` is monotone in w_e, so if the lightest cycle clears the
+    lower end and the heaviest the upper one by more than the tolerance
+    (exactly, in rational mode), every row holds and the configuration is
+    counted without a row loop.  Any other configuration, and every one
+    when ``keep_all``, is classified row by row.  A CycleRow is built only
+    for rows that are reported: all of them when ``keep_all``, otherwise
+    the violated and degenerate ones.  Config ids count from 0.
+    ``_spectrum`` refuses an n outside 3..10.
     """
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
-    lo = hi = None  # extreme ratios; (w_e, w_k) pairs in rational mode
+    r_min = r_max = None  # extreme ratios; (w_e, w_k) pairs in rational mode
     kept = []
     for config_id, config in enumerate(configs):
         n, mode = config.n, config.mode
         spec = _spectrum(n)
+        lo, hi, _, poly, lo_end, hi_end = spec
         if mode == RATIONAL:
             cols, den = integer_columns(config.points)
             w, unit = column_pair_weights(cols), den * den
         else:
             w = pair_weights(config.points)
         w_k = ordered_sum(w)
-        w_es = [ordered_sum([w[e] for e in edges]) for edges in cycle_edges(n)]
+        w_es = cycle_sums(w, n)
         has_ratio = 0 < w_k < math.inf
-        if has_ratio and mode == RATIONAL:
-            # w_k > 0, so cross-multiplying compares the ratios
-            e_lo, e_hi = min(w_es), max(w_es)
-            lo = (e_lo, w_k) if lo is None or e_lo * lo[1] < lo[0] * w_k else lo
-            hi = (e_hi, w_k) if hi is None or e_hi * hi[1] > hi[0] * w_k else hi
-        elif has_ratio:
-            # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
-            r_lo, r_hi = min(w_es) / w_k, max(w_es) / w_k
-            lo = r_lo if lo is None or r_lo < lo else lo
-            hi = r_hi if hi is None or r_hi > hi else hi
+        if has_ratio:
+            e_min, e_max = min(w_es), max(w_es)
+            if mode == RATIONAL:
+                # w_k > 0, so cross-multiplying compares the ratios
+                if r_min is None or e_min * r_min[1] < r_min[0] * w_k:
+                    r_min = (e_min, w_k)
+                if r_max is None or e_max * r_max[1] > r_max[0] * w_k:
+                    r_max = (e_max, w_k)
+                settled = (_side(poly, n, e_min, w_k, lo_end) > 0
+                           and _side(poly, n, e_max, w_k, hi_end) < 0)
+            else:
+                # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
+                lo_r, hi_r = e_min / w_k, e_max / w_k
+                r_min = lo_r if r_min is None or lo_r < r_min else r_min
+                r_max = hi_r if r_max is None or hi_r > r_max else r_max
+                settled = (lo_r - lo > tolerance and hi - hi_r > tolerance
+                           and (n % 2 or hi * w_k - e_max > tolerance * w_k))
+            if settled and not keep_all:
+                counts[HOLDS] += len(w_es)
+                continue
         for cycle, w_e in zip(enumerate_cycles(n), w_es):
             ratio, verdict = (
                 _classify(spec, w_e, w_k, tolerance, mode) if has_ratio else (None, DEGENERATE)
@@ -229,9 +246,9 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
                     ratio = Fraction(w_e, w_k) if has_ratio else None
                     weights = tuple(Fraction(v, unit) for v in weights)
                 kept.append(CycleRow(config_id, cycle, *weights, ratio, verdict))
-    if isinstance(lo, tuple):
-        lo, hi = Fraction(*lo), Fraction(*hi)
-    return kept, counts, lo, hi
+    if isinstance(r_min, tuple):
+        r_min, r_max = Fraction(*r_min), Fraction(*r_max)
+    return kept, counts, r_min, r_max
 
 
 def _aggregate(n, mode, tolerance, trials, kept, counts, min_ratio, max_ratio) -> BoundReport:

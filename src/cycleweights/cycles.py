@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
-from .geometry import Configuration, Scalar, pair_weights, pairwise_weight, squared_distance
+from .geometry import (
+    Configuration, Scalar, _gather, pair_weights, pairwise_weight, squared_distance,
+)
 from .errors import UsageError
 
 
@@ -70,8 +73,8 @@ def canonicalize(vertex_sequence) -> Cycle:
     return Cycle(rot)
 
 
-# Both tables are cached per n; n is capped at 10, so at most eight
-# entries each, and every entry is an immutable tuple.
+# The tables are cached per n; n is capped at 10, so at most eight
+# entries each, and every entry is immutable.
 @functools.lru_cache(maxsize=None)
 def enumerate_cycles(n: int) -> tuple:
     """All (n-1)!/2 distinct Hamiltonian cycles on n vertices.
@@ -94,9 +97,9 @@ def cycle_edges(n: int) -> tuple:
 
     Entry k lists the indices into ``pair_weights(points)`` of cycle k's
     edges in traversal order, so summing those pair weights in list
-    order gives exactly ``cycle_weight``.  Use these tables for many
-    configurations at one n, where they are built once and reused; for a
-    single configuration :func:`cycle_weights` is faster.
+    order gives exactly ``cycle_weight``.  :func:`cycle_sums` gathers
+    them one edge position at a time for many configurations at one n;
+    for a single configuration :func:`cycle_weights` is faster.
     """
     pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
     out = []
@@ -106,6 +109,29 @@ def cycle_edges(n: int) -> tuple:
             pair_index[(a, b) if a < b else (b, a)] for a, b in zip(o, o[1:] + o[:1])
         ))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _position_gathers(n: int) -> tuple:
+    """Gather k takes the k-th edge of every cycle from a pair-weight vector."""
+    return tuple(_gather(position) for position in zip(*cycle_edges(n)))
+
+
+def cycle_sums(w, n: int) -> list:
+    """Weight of every cycle of ``enumerate_cycles(n)`` from the pair weights
+    ``w`` of n points (``pair_weights`` order), as a list in that order.
+
+    Edge position by position, each cycle adds its next pair weight to its
+    running sum, the column idiom of ``geometry.column_pair_weights``.  The
+    additions are the ones ``cycle_weight`` makes, in the same order, and the
+    sum from 0 skips nothing since 0 + x == x for weights x >= 0, so every
+    entry equals it bit for bit.
+    """
+    first, *rest = _position_gathers(n)
+    acc = first(w)
+    for gather in rest:
+        acc = list(map(operator.add, acc, gather(w)))
+    return acc
 
 
 def cycle_weights(points) -> list:
@@ -118,7 +144,7 @@ def cycle_weights(points) -> list:
     ``cycle_weight`` bit for bit: both add the same pair weights left to
     right in traversal order, and d*d does not depend on the sign of d.
     This is the path for one configuration; many configurations at one n
-    reuse the :func:`cycle_edges` tables.
+    share the gathers of :func:`cycle_sums`.
     """
     n = len(points)
     if not 3 <= n <= 10:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateError, UsageError
-from .prng import SplitMix64
+from .prng import draws
 
 FLOAT = "float"
 RATIONAL = "rational"
@@ -74,13 +74,19 @@ def midpoint(p: Point, q: Point) -> Point:
     return tuple((a + b) / 2 for a, b in zip(p, q))
 
 
+def _gather(indices):
+    """``operator.itemgetter(*indices)``, but a sequence for any length:
+    itemgetter of one index returns a bare item, not a 1-tuple."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda c: [c[i] for i in indices]
+
+
 @functools.lru_cache(maxsize=64)
 def _pair_gathers(n: int) -> tuple:
     """Gathers of the i ends and of the j ends of every (i, j), i < j pair."""
     ends = tuple(zip(*itertools.combinations(range(n), 2))) or ((), ())
-    # itemgetter of one index returns a bare item, not a 1-tuple
-    return tuple(operator.itemgetter(*e) if len(e) > 1 else lambda c, e=e: [c[i] for i in e]
-                 for e in ends)
+    return tuple(_gather(e) for e in ends)
 
 
 def column_pair_weights(cols) -> list:
@@ -170,10 +176,11 @@ class Configuration:
 def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configuration:
     """n points drawn uniformly from the unit square/cube.
 
-    Coordinates come off one SplitMix64 stream in point-major order, so
-    a given seed pins the configuration exactly.  Rational mode keeps
-    the same 53-bit draws as dyadic fractions; both modes therefore
-    describe the identical point set.
+    Coordinates are the first n * dim unit draws of one SplitMix64
+    stream (``prng.draws``), in point-major order, so a given seed pins
+    the configuration exactly.  Rational mode keeps the same 53-bit draws
+    as dyadic fractions; both modes therefore describe the identical
+    point set.
     """
     if n < 3:
         raise UsageError("n must be at least 3")
@@ -181,12 +188,11 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
         raise UsageError("dimension must be 2 or 3")
     if mode not in MODES:
         raise UsageError(f"unknown scalar mode {mode!r}")
-    draw = SplitMix64(seed).next_u64
     if mode == RATIONAL:
-        pts = tuple(tuple(Fraction(draw() >> 11, 1 << 53) for _ in range(dim)) for _ in range(n))
+        xs = [Fraction(x, 1 << 53) for x in draws(seed, n * dim)]
     else:
-        # SplitMix64.next_unit's bits, without a method call per coordinate
-        pts = tuple(tuple((draw() >> 11) * 2.0**-53 for _ in range(dim)) for _ in range(n))
+        xs = [x * 2.0**-53 for x in draws(seed, n * dim)]  # SplitMix64.next_unit's bits
+    pts = tuple(zip(*[iter(xs)] * dim))
     # the draws need no coercion or checks: set the fields, skip __post_init__
     config = object.__new__(Configuration)
     config.__dict__.update(points=pts, mode=mode, dim=dim)

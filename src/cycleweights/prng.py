@@ -13,6 +13,10 @@ State update per draw, all arithmetic mod 2**64:
     output = x ^ (x >> 31)
 
 Unit floats take the top 53 bits: ``(output >> 11) * 2.0**-53``.
+
+The state after k draws is seed + k * 0x9E3779B97F4A7C15 mod 2**64, a
+closed form in k (Steele, Lea & Flood, OOPSLA 2014), so :func:`draws` takes
+a stream's first unit draws with no generator object.
 """
 
 MASK64 = (1 << 64) - 1
@@ -35,6 +39,23 @@ def mix64(z: int) -> int:
     ``mix64(seed + index)`` so trial streams never overlap.
     """
     return _finalize((z + _GAMMA) & MASK64)
+
+
+def draws(seed: int, count: int) -> list:
+    """Top 53 bits of the first ``count`` outputs of ``SplitMix64(seed)``.
+
+    State k = 1..count comes from the closed form, and the finalizer is
+    inlined, so a draw costs no call.
+    """
+    # each one-element ``for z in [...]`` is one step of the finalizer;
+    # CPython (3.9 on) compiles it to a plain assignment
+    return [
+        (z ^ (z >> 31)) >> 11
+        for k in range(1, count + 1)
+        for z in [(seed + k * _GAMMA) & MASK64]
+        for z in [(z ^ (z >> 30)) * _MUL1 & MASK64]
+        for z in [(z ^ (z >> 27)) * _MUL2 & MASK64]
+    ]
 
 
 class SplitMix64:

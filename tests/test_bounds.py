@@ -451,3 +451,135 @@ def test_overflowing_float_weights_are_degenerate():
     assert all(r.ratio is None and r.verdict == DEGENERATE for r in rep.rows)
     with pytest.raises(DegenerateError):
         duality_check(HUGE)
+
+
+# --- the extreme-cycle screen against a per-row loop ------------------------
+
+
+def _row_by_row(configs, tolerance):
+    """``_check_rows(configs, tolerance, False)`` as one ``classify`` call per
+    cycle on ``cycle_weight`` and ``total_weight``, with no screen."""
+    counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
+    lo = hi = None
+    kept = []
+    for config_id, c in enumerate(configs):
+        n, mode = c.n, c.mode
+        w_k = total_weight(c)
+        for cycle in enumerate_cycles(n):
+            w_e = cycle_weight(c, cycle)
+            if 0 < w_k < math.inf:
+                ratio, verdict = classify(w_e, w_k, n, tolerance, mode)
+                if mode == RATIONAL:
+                    ratio = w_e / w_k
+                lo = ratio if lo is None or ratio < lo else lo
+                hi = ratio if hi is None or ratio > hi else hi
+            else:
+                ratio, verdict = None, DEGENERATE
+            counts[verdict] += 1
+            if verdict in (VIOLATED, DEGENERATE):
+                kept.append(CycleRow(config_id, cycle, w_e, w_k - w_e, w_k, ratio, verdict))
+    return kept, counts, lo, hi
+
+
+@st.composite
+def _near_an_end(draw, n, mode):
+    """n points at a spectral end, each coordinate moved by 0 or by up to
+    eps in 1e-12..1e-6: a regular n-gon (lower end), for odd n its star polygon
+    (upper end), for even n alternate points nearly coincident (the
+    degenerate upper end)."""
+    dim = draw(st.sampled_from((2, 3)))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6)))
+    shapes = ("polygon", "star") if n % 2 else ("polygon", "alternate")
+    shape = draw(st.sampled_from(shapes))
+    step = n // 2 if shape == "star" else 1
+    points = []
+    for i in range(n):
+        if shape == "alternate":
+            base = (0.25, 0.5) if i % 2 else (1.0, -0.75)
+        else:
+            t = 2 * math.pi * i * step / n
+            base = (math.cos(t), math.sin(t))
+        base += (0.0,) * (dim - 2)
+        points.append(tuple(x + eps * draw(st.floats(-1, 1)) for x in base))
+    return Configuration(tuple(points), mode)
+
+
+def _fuzzed(n, mode):
+    return st.builds(random_config, st.integers(0, 2**64 - 1), st.just(n),
+                     st.sampled_from((2, 3)), st.just(mode))
+
+
+TOLERANCES = st.one_of(st.sampled_from((1e-12, 1e-9, 1e-6, 0.05, 0.3)), st.floats(1e-12, 0.3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 8), st.sampled_from((FLOAT, RATIONAL)), TOLERANCES, st.data())
+def test_screened_rows_match_the_row_loop(n, mode, tolerance, data):
+    configs = data.draw(st.lists(st.one_of(_near_an_end(n, mode), _fuzzed(n, mode)),
+                                 min_size=1, max_size=6 if n < 7 else 2))
+    assert repr(_check_rows(configs, tolerance, False)) == repr(_row_by_row(configs, tolerance))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(3, 8), st.sampled_from((2, 3)),
+       st.sampled_from((FLOAT, RATIONAL)), TOLERANCES)
+def test_screened_fuzz_matches_the_row_loop(seed, n, dim, mode, tolerance):
+    trials = 6 if n < 7 else 2
+    configs = [random_config(mix64((seed + i) % 2**64), n, dim, mode) for i in range(trials)]
+    expected = _aggregate(n, mode, tolerance, trials, *_row_by_row(configs, tolerance))
+    assert repr(fuzz(seed, trials, n, dim, tolerance, mode)) == repr(expected)
+
+
+# (seed index, tolerance): the heaviest cycle's ratio r clears hi - r > tol,
+# but hi * w_k - w_e <= tol * w_k rounds the other way, so the row is degenerate
+ROUNDING_SLIVERS = [(13, 0.0512734553477091), (59, 0.05027550307370431),
+                    (129, 0.07167563723982016), (156, 0.09694867469880807)]
+
+
+@pytest.mark.parametrize("index, tolerance", ROUNDING_SLIVERS)
+def test_screen_keeps_the_even_n_degenerate_test(index, tolerance):
+    configs = [random_config(mix64(index), 6, 2, FLOAT)]
+    kept, counts, _, _ = _check_rows(configs, tolerance, False)
+    assert counts[DEGENERATE] >= 1
+    assert repr((kept, counts)) == repr(_row_by_row(configs, tolerance)[:2])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_screen_leaves_a_row_within_tolerance_of_one_end(n, end):
+    # a configuration nearer one end than the other, with the tolerance
+    # between its two gaps: only the rows at the nearer end are equalities
+    lo, hi = spectral_interval(n)
+    for index in range(1000):
+        config = random_config(mix64(index), n, 2, FLOAT)
+        w_k = total_weight(config)
+        ratios = [cycle_weight(config, cycle) / w_k for cycle in enumerate_cycles(n)]
+        near, far = min(ratios) - lo, hi - max(ratios)
+        if end == "upper":
+            near, far = far, near
+        if 2 * near < far:
+            break
+    tolerance = (near + far) / 2
+    kept, counts, _, _ = _check_rows([config], tolerance, False)
+    assert counts[HOLDS_WITH_EQUALITY] + counts[DEGENERATE] >= 1
+    assert repr((kept, counts)) == repr(_row_by_row([config], tolerance)[:2])
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_rows_are_classified_only_where_the_screen_does_not_settle(mode, monkeypatch):
+    calls = []
+    classify_row = bounds._classify
+    monkeypatch.setattr(bounds, "_classify", lambda *a: calls.append(a) or classify_row(*a))
+    # random configurations sit well inside the interval: every one settles
+    assert fuzz(3, 50, 5, mode=mode).checks == 600 and calls == []
+    # a single check classifies every row
+    check_bounds(random_config(3, 5, 2, mode))
+    assert len(calls) == 12
+    # the unit square's perimeter sits on the lower end: its rows go through
+    # the classifier, and the fuzzed configurations around it still settle
+    calls.clear()
+    square = Configuration(UNIT_SQUARE.points, mode)
+    configs = [random_config(1, 4, 2, mode), square, random_config(2, 4, 2, mode), square]
+    kept, counts, _, _ = _check_rows(configs, 1e-9, False)
+    assert len(calls) == 6 and kept == []
+    assert counts == {HOLDS: 10, HOLDS_WITH_EQUALITY: 2, VIOLATED: 0, DEGENERATE: 0}

@@ -12,6 +12,7 @@ from cycleweights.cycles import (
     complement_cycle,
     complement_weight,
     cycle_edges,
+    cycle_sums,
     cycle_weight,
     cycle_weights,
     enumerate_cycles,
@@ -154,6 +155,19 @@ def test_pair_vector_kernel_matches_cycle_weight_exactly(n, mode, dim, seed):
     assert len(cycle_edges(n)) == len(cycles)
     for cycle, edges in zip(cycles, cycle_edges(n)):
         assert ordered_sum([w[e] for e in edges]) == cycle_weight(config, cycle)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_cycle_sums_match_cycle_weight_bit_for_bit(n, mode):
+    configs = [random_config(seed, n, dim, mode) for seed in range(4) for dim in (2, 3)]
+    # coincident points give zero weights, and n = 3 has a single cycle
+    configs.append(Configuration(((0.5, 0.25),) * (n - 1) + ((1.0, 0.0),), mode))
+    for config in configs:
+        expected = [cycle_weight(config, cycle) for cycle in enumerate_cycles(n)]
+        got = cycle_sums(pair_weights(config.points), n)
+        assert isinstance(got, list)
+        assert list(map(repr, got)) == list(map(repr, expected))
 
 
 @settings(max_examples=30, deadline=None)

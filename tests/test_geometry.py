@@ -134,6 +134,22 @@ def test_random_config_equals_a_checked_configuration():
                     assert [x for p in c.points for x in p] == units
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_random_config_takes_successive_stream_draws(seed):
+    # the closed-form draws against the sequential generator, point-major
+    for n in range(3, 11):
+        for dim in (2, 3):
+            rng = SplitMix64(seed)
+            units = [rng.next_unit() for _ in range(n * dim)]
+            rng = SplitMix64(seed)
+            fractions = [Fraction(rng.next_u64() >> 11, 2**53) for _ in range(n * dim)]
+            for mode, expected in ((FLOAT, units), (RATIONAL, fractions)):
+                c = random_config(seed, n, dim, mode)
+                assert len(c.points) == n and all(len(p) == dim for p in c.points)
+                coords = [x for p in c.points for x in p]
+                assert list(map(repr, coords)) == list(map(repr, expected))
+
+
 def test_random_config_validation():
     with pytest.raises(UsageError):
         random_config(0, 2)

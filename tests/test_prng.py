@@ -1,6 +1,6 @@
 import math
 
-from cycleweights.prng import MASK64, SplitMix64, mix64
+from cycleweights.prng import MASK64, SplitMix64, draws, mix64
 
 # first outputs for seed 0, cross-checked against the reference
 # C implementation of SplitMix64
@@ -50,3 +50,10 @@ def test_unit_floats_are_53_bit_dyadics():
 
 def test_streams_with_different_seeds_differ():
     assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
+
+
+def test_closed_form_draws_match_the_sequential_stream():
+    for seed in (0, 1, 42, 2**64 - 1, 2**64, -1):
+        rng = SplitMix64(seed)
+        assert draws(seed, 40) == [rng.next_u64() >> 11 for _ in range(40)]
+    assert draws(5, 0) == []
