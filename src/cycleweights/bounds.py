@@ -34,6 +34,7 @@ from .checks import (
     HOLDS,
     HOLDS_WITH_EQUALITY,
     REL_TOL_DERIVED,
+    REL_TOL_DIRECT,
     VIOLATED,
 )
 from .cycles import (
@@ -42,7 +43,7 @@ from .cycles import (
 from .errors import DegenerateError, UsageError
 from .geometry import (
     Configuration, FLOAT, RATIONAL, column_pair_weights, integer_columns, ordered_sum,
-    pair_weights, random_config,
+    random_config,
 )
 from .prng import MASK64, mix64
 
@@ -209,9 +210,10 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
         lo, hi, _, poly, lo_end, hi_end = spec
         if mode == RATIONAL:
             cols, den = integer_columns(config.points)
-            w, unit = column_pair_weights(cols), den * den
+            unit = den * den
         else:
-            w = pair_weights(config.points)
+            cols = list(zip(*config.points))
+        w = column_pair_weights(cols)
         w_k = ordered_sum(w)
         w_es = cycle_sums(w, n)
         has_ratio = 0 < w_k < math.inf
@@ -283,13 +285,13 @@ def check_k5_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -
     return check_bounds(config, tolerance)
 
 
-def duality_check(config: Configuration, tolerance: float = 1e-12) -> DualityReport:
+def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> DualityReport:
     """Verify ratio(E) + ratio(complement E) = 1 for all 12 cycles on 5 points.
 
     Also flags where each cycle sits against the two ends of the interval
     and checks the exchange symmetry: E attains the lower end exactly
     when its complement attains the upper one.  The default tolerance
-    is tight (1e-12) because each ratio is a handful of float ops.
+    is tight (``REL_TOL_DIRECT``) because each ratio is a handful of float ops.
     """
     _require_tolerance(tolerance)
     if config.n != 5:

@@ -73,6 +73,14 @@ def canonicalize(vertex_sequence) -> Cycle:
     return Cycle(rot)
 
 
+def _canonical_orders(n: int):
+    """The canonical vertex sequences of the cycles on n vertices, as tuples in
+    lexicographic order: the one filter behind both cycle tables."""
+    if not 3 <= n <= 10:
+        raise UsageError("cycle enumeration supports 3 <= n <= 10")
+    return ((0, *perm) for perm in itertools.permutations(range(1, n)) if perm[0] < perm[-1])
+
+
 # The tables are cached per n; n is capped at 10, so at most eight
 # entries each, and every entry is immutable.
 @functools.lru_cache(maxsize=None)
@@ -82,13 +90,7 @@ def enumerate_cycles(n: int) -> tuple:
     Deterministic order: lexicographic in the canonical vertex sequence.
     Capped at n = 10 (181440 cycles) to keep full enumeration sane.
     """
-    if not 3 <= n <= 10:
-        raise UsageError("cycle enumeration supports 3 <= n <= 10")
-    out = []
-    for perm in itertools.permutations(range(1, n)):
-        if perm[0] < perm[-1]:
-            out.append(Cycle((0,) + perm))
-    return tuple(out)
+    return tuple(map(Cycle, _canonical_orders(n)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,18 +99,16 @@ def cycle_edges(n: int) -> tuple:
 
     Entry k lists the indices into ``pair_weights(points)`` of cycle k's
     edges in traversal order, so summing those pair weights in list
-    order gives exactly ``cycle_weight``.  :func:`cycle_sums` gathers
-    them one edge position at a time for many configurations at one n;
-    for a single configuration :func:`cycle_weights` is faster.
+    order gives exactly ``cycle_weight``.  Built from the vertex sequences,
+    so no Cycle is made.  :func:`cycle_sums` gathers them one edge position
+    at a time for many configurations at one n; for a single configuration
+    :func:`cycle_weights` is faster.
     """
-    pair_index = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
-    out = []
-    for cycle in enumerate_cycles(n):
-        o = cycle.order
-        out.append(tuple(
-            pair_index[(a, b) if a < b else (b, a)] for a, b in zip(o, o[1:] + o[:1])
-        ))
-    return tuple(out)
+    pair_index = {}
+    for k, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        pair_index[a, b] = pair_index[b, a] = k
+    index = pair_index.__getitem__
+    return tuple(tuple(map(index, zip(o, o[1:] + o[:1]))) for o in _canonical_orders(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,17 +211,6 @@ def complement_cycle(cycle: Cycle) -> Cycle:
     """
     if cycle.n != 5:
         raise UsageError("complement of a Hamiltonian cycle is a cycle only for n = 5")
-    on_cycle = cycle.edges()
-    nbrs = {v: [] for v in range(5)}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if (i, j) not in on_cycle:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    seq = [0]
-    prev, cur = None, 0
-    while len(seq) < 5:
-        nxt = min(v for v in nbrs[cur] if v != prev)
-        seq.append(nxt)
-        prev, cur = cur, nxt
-    return canonicalize(seq)
+    o = cycle.order
+    # the non-edges join vertices two apart along the cycle
+    return canonicalize(o[0::2] + o[1::2])

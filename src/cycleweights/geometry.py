@@ -57,7 +57,10 @@ def _coerce_point(p, mode: str) -> Point:
 
 
 def squared_distance(p: Point, q: Point) -> Scalar:
-    """Edge weight between two points: sum of squared coordinate gaps."""
+    """Edge weight between two points: sum of squared coordinate gaps.
+
+    The two-point reference, kept for ``cycles.cycle_weight``; every other
+    weight comes from :func:`column_pair_weights`, bit for bit the same."""
     if len(p) != len(q):
         raise UsageError(f"dimension mismatch: {len(p)} vs {len(q)}")
     total = 0
@@ -288,10 +291,7 @@ def parse_points(text: str) -> Configuration:
         if len(tokens) != dim:
             raise UsageError(f"expected {dim} coordinates per row, got {row!r}")
         pts.append(tuple(_parse_token(t, mode) for t in tokens))
-    config = Configuration(tuple(pts), mode)
-    if config.dim != dim:
-        raise UsageError("header dimension does not match rows")
-    return config
+    return Configuration(tuple(pts), mode)
 
 
 def _parse_token(token: str, mode: str) -> Scalar:

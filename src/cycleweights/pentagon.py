@@ -23,13 +23,14 @@ five quadruples of consecutive E-cycle vertices; see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import relative_residual
 from .cycles import Cycle, complement_cycle, complement_weight, cycle_weight, total_weight
 from .errors import DegenerateError, UsageError
-from .geometry import Configuration, RATIONAL, Scalar, midpoint, squared_distance
+from .geometry import Configuration, RATIONAL, Scalar, midpoint, ordered_sum, pair_weights
 from .quadrilateral import IdentityTerms, QuadLabeling, identity_terms
 
 
@@ -89,13 +90,14 @@ class Trace:
         return worst
 
 
+# pair_weights order on five points: 01 02 03 04 12 13 14 23 24 34
+_D_PAIRS = operator.itemgetter(0, 4, 7, 9, 3)  # k and k + 1: 01 12 23 34 40
+_E_PAIRS = operator.itemgetter(1, 5, 8, 2, 6)  # k and k + 2: 02 13 24 30 41
+
+
 def _weights(points) -> tuple:
-    d = 0
-    e = 0
-    for k in range(5):
-        d += squared_distance(points[k], points[(k + 1) % 5])
-        e += squared_distance(points[k], points[(k + 2) % 5])
-    return d, e
+    w = pair_weights(points)
+    return ordered_sum(_D_PAIRS(w)), ordered_sum(_E_PAIRS(w))
 
 
 def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:

@@ -26,19 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, itemgetter, truediv
 
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
 from .errors import UsageError
 from .geometry import (
     FLOAT,
-    MODES,
     RATIONAL,
+    Configuration,
     Scalar,
-    _coerce_point,
+    column_pair_weights,
     integer_columns,
-    midpoint,
     random_config,
-    squared_distance,
 )
 from .prng import MASK64, mix64
 
@@ -55,19 +54,11 @@ class QuadLabeling:
     mode: str = FLOAT
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise UsageError(f"unknown scalar mode {self.mode!r}")
         if self.pairing not in (0, 1, 2):
             raise UsageError("pairing must be 0, 1, or 2")
         if len(self.points) != 4:
             raise UsageError("a quadrilateral labeling needs exactly 4 points")
-        pts = tuple(_coerce_point(p, self.mode) for p in self.points)
-        dims = {len(p) for p in pts}
-        if len(dims) != 1:
-            raise UsageError("all points must share one dimension")
-        if dims.pop() not in (2, 3):
-            raise UsageError("dimension must be 2 or 3")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", Configuration(self.points, self.mode).points)
 
     def ordered(self) -> tuple:
         """Points as (A, B, C, D) for this pairing."""
@@ -113,32 +104,43 @@ class IdentityFuzzReport:
     max_rel_residual: float
 
 
-def identity_terms(quad: QuadLabeling) -> IdentityTerms:
-    """Evaluate every term of the relation for one labeling."""
-    a, b, c, d = quad.ordered()
-    mid = midpoint
+# The kernel weighs the pairs of A, B, C, D in the order AB, AC, AD, BC, BD,
+# CD.  Segment k joins points _ENDS[0][k] and _ENDS[1][k] and has midpoint L_k,
+# and the kernel weighs the pairs of L1..L6 in the order L1L2, L1L3, ..., L5L6.
+_ENDS = (itemgetter(0, 1, 2, 3, 0, 1), itemgetter(1, 2, 3, 0, 2, 3))
+_SEGMENTS = itemgetter(0, 3, 5, 2, 1, 4)  # l1..l6
+_PQR = itemgetter(1, 6, 14)  # p^2 = L1L3, q^2 = L2L4, r^2 = L5L6
+_MIDSEGMENTS = itemgetter(7, 3, 8, 4, 0, 2)  # L2L5, L1L5, L2L6, L1L6, L1L2, L1L4
+
+
+def _weigh(quad: QuadLabeling) -> tuple:
+    """``(l, m, unit)`` from two kernel calls: l1..l6, and the pair weights of
+    the midpoints L1..L6 in kernel order.  Float mode has no unit (None).  In
+    rational mode every weight is an int, the weight times ``unit``."""
+    points = quad.ordered()
     if quad.mode == RATIONAL:
         # over twice the common denominator, every point and midpoint is an integer point
-        cols, den = integer_columns((a, b, c, d))
-        a, b, c, d = zip(*([2 * x for x in col] for col in cols))
-        mid = lambda p, q: tuple((x + y) >> 1 for x, y in zip(p, q))  # noqa: E731
-    l1 = squared_distance(a, b)
-    l2 = squared_distance(b, c)
-    l3 = squared_distance(c, d)
-    l4 = squared_distance(d, a)
-    l5 = squared_distance(a, c)
-    l6 = squared_distance(b, d)
-    m1, m3 = mid(a, b), mid(c, d)
-    m2, m4 = mid(b, c), mid(d, a)
-    m5, m6 = mid(a, c), mid(b, d)
-    p_sq = squared_distance(m1, m3)
-    q_sq = squared_distance(m2, m4)
-    r_sq = squared_distance(m5, m6)
+        cols, den = integer_columns(points)
+        cols, half, unit = [[2 * x for x in c] for c in cols], floordiv, 4 * den * den
+    else:
+        cols, half, unit = list(zip(*points)), truediv, None
+    ga, gb = _ENDS
+    mids = [[half(x + y, 2) for x, y in zip(ga(c), gb(c))] for c in cols]
+    return _SEGMENTS(column_pair_weights(cols)), column_pair_weights(mids), unit
+
+
+def _scaled(values, unit) -> tuple:
+    return tuple(Fraction(v, unit) for v in values) if unit else tuple(values)
+
+
+def identity_terms(quad: QuadLabeling) -> IdentityTerms:
+    """Evaluate every term of the relation for one labeling."""
+    l_sq, m, unit = _weigh(quad)
+    l1, l2, l3, l4, l5, l6 = l_sq
+    p_sq, q_sq, r_sq = _PQR(m)
     rhs = l1 + l2 + l3 + l4
     lhs = 4 * r_sq + l5 + l6
-    terms = (l1, l2, l3, l4, l5, l6, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs)
-    if quad.mode == RATIONAL:
-        terms = tuple(Fraction(t, 4 * den * den) for t in terms)
+    terms = _scaled((*l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs), unit)
     return IdentityTerms(quad.pairing, terms[:6], *terms[6:])
 
 
@@ -174,19 +176,8 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
     equal by the parallelogram structure, so one residual per segment
     suffices).
     """
-    l1, l2, l3, l4, l5, l6 = identity_terms(quad).l_sq
-    a, b, c, d = quad.ordered()
-    m1, m2 = midpoint(a, b), midpoint(b, c)
-    m4 = midpoint(d, a)
-    m5, m6 = midpoint(a, c), midpoint(b, d)
-    return (
-        4 * squared_distance(m2, m5) - l1,
-        4 * squared_distance(m1, m5) - l2,
-        4 * squared_distance(m2, m6) - l3,
-        4 * squared_distance(m1, m6) - l4,
-        4 * squared_distance(m1, m2) - l5,
-        4 * squared_distance(m1, m4) - l6,
-    )
+    l_sq, m, unit = _weigh(quad)
+    return _scaled((4 * x - l for x, l in zip(_MIDSEGMENTS(m), l_sq)), unit)
 
 
 def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> IdentityReport:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycleweights.cycles as cycles_mod
 from cycleweights.cycles import (
     Cycle,
     canonicalize,
@@ -155,6 +156,18 @@ def test_pair_vector_kernel_matches_cycle_weight_exactly(n, mode, dim, seed):
     assert len(cycle_edges(n)) == len(cycles)
     for cycle, edges in zip(cycles, cycle_edges(n)):
         assert ordered_sum([w[e] for e in edges]) == cycle_weight(config, cycle)
+
+
+def test_cycle_edges_builds_no_cycle(monkeypatch):
+    pairs = list(itertools.combinations(range(7), 2))
+    expected = tuple(
+        tuple(pairs.index(tuple(sorted(e))) for e in zip(cy.order, cy.order[1:] + cy.order[:1]))
+        for cy in enumerate_cycles(7)
+    )
+    cycles_mod.enumerate_cycles.cache_clear()
+    cycles_mod.cycle_edges.cache_clear()
+    monkeypatch.setattr(cycles_mod, "Cycle", None)  # building a Cycle would fail
+    assert cycle_edges(7) == expected
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -238,3 +238,60 @@ def test_exact_terms_match_the_fraction_arithmetic(pts):
         # the float arm keeps its bits
         quad = QuadLabeling(pts, pairing, FLOAT)
         assert repr(identity_terms(quad)) == repr(_reference_terms(quad))
+
+
+def test_quad_labeling_refuses_points_a_configuration_refuses():
+    with pytest.raises(UsageError):
+        QuadLabeling(((0, 0), (1, 0), (0, 1), (float("inf"), 1)))
+    with pytest.raises(UsageError):
+        QuadLabeling(((0, 0), (1, 0), (0, 1), (float("nan"), 1)), 0, RATIONAL)
+    with pytest.raises(UsageError):
+        QuadLabeling(((0,), (1,), (2,), (3,)))
+    with pytest.raises(UsageError):
+        QuadLabeling(((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), 0, RATIONAL)
+
+
+# --- the midpoint relations against per-pair loops --------------------------
+
+
+def _reference_relations(quad):
+    """midpoint_parallelogram_relations and midsegment_relations, each
+    written as per-pair midpoint and squared_distance calls."""
+    a, b, c, d = quad.ordered()
+    l1, l2, l3 = squared_distance(a, b), squared_distance(b, c), squared_distance(c, d)
+    l4, l5, l6 = squared_distance(d, a), squared_distance(a, c), squared_distance(b, d)
+    m1, m2, m3 = midpoint(a, b), midpoint(b, c), midpoint(c, d)
+    m4, m5, m6 = midpoint(d, a), midpoint(a, c), midpoint(b, d)
+    p_sq, q_sq, r_sq = squared_distance(m1, m3), squared_distance(m2, m4), squared_distance(m5, m6)
+    parallelogram = (
+        (l5 + l6) / 2 - (p_sq + q_sq),
+        (l1 + l3) / 2 - (q_sq + r_sq),
+        (l2 + l4) / 2 - (p_sq + r_sq),
+    )
+    ends = ((m2, m5), (m1, m5), (m2, m6), (m1, m6), (m1, m2), (m1, m4))
+    midsegment = tuple(
+        4 * squared_distance(u, v) - l for (u, v), l in zip(ends, (l1, l2, l3, l4, l5, l6))
+    )
+    return parallelogram, midsegment
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _float_quads(draw):
+    """Four float points of dimension 2 or 3, from a pool of at most four
+    (so that some coincide), at any finite magnitude."""
+    point = st.tuples(*[any_float] * draw(st.sampled_from((2, 3))))
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_quads(), _float_quads())
+def test_midpoint_relations_match_the_per_pair_loops(small_pts, float_pts):
+    for pts, mode in ((small_pts, RATIONAL), (small_pts, FLOAT), (float_pts, FLOAT)):
+        for pairing in (0, 1, 2):
+            quad = QuadLabeling(pts, pairing, mode)
+            got = (midpoint_parallelogram_relations(quad), midsegment_relations(quad))
+            assert repr(got) == repr(_reference_relations(quad))
