@@ -37,12 +37,10 @@ from .checks import (
     REL_TOL_DIRECT,
     VIOLATED,
 )
-from .cycles import (
-    Cycle, complement_cycle, cycle_sums, cycle_weight, enumerate_cycles, total_weight,
-)
+from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, RATIONAL, column_pair_weights, integer_columns, ordered_sum,
+    Configuration, FLOAT, RATIONAL, column_pair_weights, columns, exact, ordered_sum,
     random_config,
 )
 from .prng import MASK64, mix64
@@ -187,7 +185,7 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
     """Classify every cycle of each configuration, as a stream.
 
     Each configuration becomes one pair-weight vector (ints times den**2
-    in rational mode, see ``integer_columns``), and its cycle weights come
+    in rational mode, see ``geometry.columns``), and its cycle weights come
     from ``cycle_sums``.  If w(K_n) is 0 or not finite, every row is
     degenerate.  Ratio extremes come from the extreme cycle weights
     (first value kept, replaced only on a strict < or >, as ``min``/``max``
@@ -208,11 +206,7 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
         n, mode = config.n, config.mode
         spec = _spectrum(n)
         lo, hi, _, poly, lo_end, hi_end = spec
-        if mode == RATIONAL:
-            cols, den = integer_columns(config.points)
-            unit = den * den
-        else:
-            cols = list(zip(*config.points))
+        cols, den = columns(config.points, mode)
         w = column_pair_weights(cols)
         w_k = ordered_sum(w)
         w_es = cycle_sums(w, n)
@@ -243,10 +237,9 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
             )
             counts[verdict] += 1
             if keep_all or verdict in (VIOLATED, DEGENERATE):
-                weights = (w_e, w_k - w_e, w_k)
-                if mode == RATIONAL:
-                    ratio = Fraction(w_e, w_k) if has_ratio else None
-                    weights = tuple(Fraction(v, unit) for v in weights)
+                if mode == RATIONAL and has_ratio:
+                    ratio = Fraction(w_e, w_k)
+                weights = exact((w_e, w_k - w_e, w_k), den)
                 kept.append(CycleRow(config_id, cycle, *weights, ratio, verdict))
     if isinstance(r_min, tuple):
         r_min, r_max = Fraction(*r_min), Fraction(*r_max)
@@ -296,22 +289,26 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
     _require_tolerance(tolerance)
     if config.n != 5:
         raise UsageError("duality needs exactly 5 points")
-    w_k = total_weight(config)
+    w = column_pair_weights(columns(config.points, config.mode)[0])
+    w_k = ordered_sum(w)
     if not 0 < w_k < math.inf:
         raise DegenerateError("all points coincide, or the total weight overflows; no ratio")
     ends = spectral_interval(5)
+    cycles = enumerate_cycles(5)
+    w_es = cycle_sums(w, 5)
     rows = []
     ok = True
-    for cycle in enumerate_cycles(5):
+    for cycle, w_e in zip(cycles, w_es):
         comp = complement_cycle(cycle)
-        r_e = cycle_weight(config, cycle) / w_k
-        r_d = cycle_weight(config, comp) / w_k
-        residual = r_e + r_d - 1
+        w_d = w_es[cycles.index(comp)]
         if config.mode == RATIONAL:
+            r_e, r_d, residual = (Fraction(v, w_k) for v in (w_e, w_d, w_e + w_d - w_k))
             # both ends are irrational, so no rational ratio attains one
             lo_e = hi_e = False
             ok = ok and residual == 0
         else:
+            r_e, r_d = w_e / w_k, w_d / w_k
+            residual = r_e + r_d - 1
             lo_e, hi_e = (abs(r_e - end) <= tolerance for end in ends)
             lo_d, hi_d = (abs(r_d - end) <= tolerance for end in ends)
             # bound exchange: E at the bottom iff its complement at the top

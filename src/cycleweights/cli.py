@@ -132,6 +132,16 @@ def _row_json(row, *drop) -> dict:
     return {**_jsonable(row, ("w_cycle", "w_complement", "w_total", *drop)), **weights}
 
 
+def _polygon(args, n) -> Configuration:
+    """The regular n-gon of --radius, which is 2-D and float: a --dim or --mode
+    it would ignore is a usage error."""
+    if args.mode == RATIONAL:
+        raise UsageError("regular polygons are float mode only")
+    if args.dim != 2:
+        raise UsageError("regular polygons are 2-D only")
+    return regular_polygon(n, args.radius)
+
+
 # --- gen --------------------------------------------------------------
 
 
@@ -139,9 +149,7 @@ def _cmd_gen(args) -> int:
     if not 3 <= args.n <= 10:
         raise UsageError("--n must be between 3 and 10")
     if args.polygon:
-        if args.mode == RATIONAL:
-            raise UsageError("regular polygons are float mode only")
-        config = regular_polygon(args.n, args.radius)
+        config = _polygon(args, args.n)
     else:
         config = random_config(args.seed, args.n, args.dim, args.mode)
     _emit(
@@ -264,14 +272,14 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    if (args.infile is not None) + args.polygon + (args.seed is not None) != 1:
+        raise UsageError("provide exactly one of --in, --polygon, or --seed")
     if args.infile is not None:
         config = _load(args, 5)
     elif args.polygon:
-        config = regular_polygon(5, args.radius)
-    elif args.seed is not None:
-        config = random_config(args.seed, 5, args.dim, args.mode)
+        config = _polygon(args, 5)
     else:
-        raise UsageError("provide one of --in, --polygon, or --seed")
+        config = random_config(args.seed, 5, args.dim, args.mode)
     try:
         e_cycle = canonicalize([int(t) for t in args.cycle.split(",")])
     except ValueError:
@@ -287,7 +295,7 @@ def _cmd_iterate(args) -> int:
 
     def records():
         yield {"kind": "trace", **_jsonable(tr, ("states",)), "cycle": e_cycle,
-               "levels": [_jsonable(s, ("points",)) for s in tr.states],
+               "levels": [_jsonable(s, ("points", "mode")) for s in tr.states],
                "max_rel_residual": max_rel}
 
     def lines():

@@ -3,8 +3,8 @@
 A point is a plain tuple of scalars.  A configuration is an ordered,
 immutable collection of points sharing one dimension (2 or 3) and one
 scalar mode: mode ``"float"`` computes in binary64, mode ``"rational"``
-holds :class:`fractions.Fraction` coordinates; exact checks clear their
-denominators (:func:`integer_columns`) and decide on ints, with zero tolerance.
+holds :class:`fractions.Fraction` coordinates; exact checks weigh them as
+ints (:func:`columns`, :func:`exact`) and decide on ints, with zero tolerance.
 
 The edge weight between two points is the *squared* Euclidean distance,
 i.e. the sum of squared coordinate differences — no square roots appear
@@ -103,12 +103,24 @@ def column_pair_weights(cols) -> list:
     return w
 
 
-def integer_columns(points) -> tuple:
-    """``(cols, den)``: ``den`` is the lcm of the rational coordinates'
-    denominators and ``cols[k][i] == points[i][k] * den``, an int, so
-    :func:`column_pair_weights` of ``cols`` is every pair weight times den**2."""
+def columns(points, mode: str) -> tuple:
+    """``(cols, den)``, the columns of ``points`` for :func:`column_pair_weights`:
+    as they are, with ``den`` None, in float mode.  In rational mode ``den`` is
+    the lcm of the denominators and ``cols[k][i] == points[i][k] * den``, an int,
+    so every pair weight is an int, the exact weight times den**2."""
+    if mode != RATIONAL:
+        return list(zip(*points)), None
     den = math.lcm(*(x.denominator for p in points for x in p))
     return [[x.numerator * (den // x.denominator) for x in c] for c in zip(*points)], den
+
+
+def exact(weights, den) -> tuple:
+    """The exact values of weights over :func:`columns`' ``den``: each int over
+    den**2 as a Fraction, or the float weights (``den`` None) as they are."""
+    if den is None:
+        return tuple(weights)
+    unit = den * den
+    return tuple(Fraction(v, unit) for v in weights)
 
 
 def pair_weights(points) -> list:

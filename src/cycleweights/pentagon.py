@@ -28,9 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import relative_residual
-from .cycles import Cycle, complement_cycle, complement_weight, cycle_weight, total_weight
+from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
-from .geometry import Configuration, RATIONAL, Scalar, midpoint, ordered_sum, pair_weights
+from .geometry import (
+    Configuration, Scalar, column_pair_weights, columns, exact, midpoint, ordered_sum,
+)
 from .quadrilateral import IdentityTerms, QuadLabeling, identity_terms
 
 
@@ -40,12 +42,14 @@ class IterationState:
 
     ``d`` sums consecutive pairs of ``points`` (the current D-type
     weight), ``e`` sums pairs two apart (the current E-type weight).
+    ``mode`` is the configuration's scalar mode, which :func:`step` weighs in.
     """
 
     level: int
     points: tuple
     d: Scalar
     e: Scalar
+    mode: str
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,9 @@ class Trace:
         return worst
 
 
-# pair_weights order on five points: 01 02 03 04 12 13 14 23 24 34
+# kernel order on five points: 01 02 03 04 12 13 14 23 24 34
 _D_PAIRS = operator.itemgetter(0, 4, 7, 9, 3)  # k and k + 1: 01 12 23 34 40
 _E_PAIRS = operator.itemgetter(1, 5, 8, 2, 6)  # k and k + 2: 02 13 24 30 41
-
-
-def _weights(points) -> tuple:
-    w = pair_weights(points)
-    return ordered_sum(_D_PAIRS(w)), ordered_sum(_E_PAIRS(w))
 
 
 def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
@@ -111,21 +110,25 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
         raise UsageError("midpoint iteration needs exactly 5 points")
     if e_cycle.n != 5:
         raise UsageError("cycle size does not match configuration")
-    if not 0 < total_weight(config) < math.inf:
+    cols, den = columns(config.points, config.mode)
+    w = column_pair_weights(cols)
+    w_k = ordered_sum(w)
+    if not 0 < w_k < math.inf:
         raise DegenerateError("all points coincide, or the total weight overflows")
-    d_cycle = complement_cycle(e_cycle)
-    points = tuple(config.points[v] for v in d_cycle.order)
-    d = complement_weight(config, e_cycle)
-    e = cycle_weight(config, e_cycle)
-    return IterationState(1, points, d, e)
+    # E summed along its traversal, as cycle_weight sums it; D is the rest of K_5
+    e = cycle_sums(w, 5)[enumerate_cycles(5).index(e_cycle)]
+    points = tuple(config.points[v] for v in complement_cycle(e_cycle).order)
+    return IterationState(1, points, *exact((w_k - e, e), den), config.mode)
 
 
 def step(state: IterationState) -> IterationState:
     """Replace the five points by midpoints of consecutive pairs."""
     pts = state.points
     mids = tuple(midpoint(pts[k], pts[(k + 1) % 5]) for k in range(5))
-    d, e = _weights(mids)
-    return IterationState(state.level + 1, mids, d, e)
+    cols, den = columns(mids, state.mode)
+    w = column_pair_weights(cols)
+    d, e = exact((ordered_sum(_D_PAIRS(w)), ordered_sum(_E_PAIRS(w))), den)
+    return IterationState(state.level + 1, mids, d, e, state.mode)
 
 
 def trace(config: Configuration, e_cycle: Cycle, steps: int) -> Trace:
@@ -137,10 +140,8 @@ def trace(config: Configuration, e_cycle: Cycle, steps: int) -> Trace:
         states.append(step(states[-1]))
     d = [s.d for s in states]
     e = [s.e for s in states]
-    if config.mode == RATIONAL:
-        c1, c2 = Fraction(12, 16), Fraction(1, 16)
-    else:
-        c1, c2 = 0.75, 0.0625  # both exact binary64 values
+    # times a float weight, a Fraction is its float value, and 12/16 and 1/16 are exact ones
+    c1, c2 = Fraction(12, 16), Fraction(1, 16)
     res_a = tuple(4 * d[i + 1] - e[i] for i in range(steps))
     res_b = tuple(d[i] + 4 * e[i + 1] - 3 * e[i] for i in range(steps))
     res_c = tuple(e[i + 2] - c1 * e[i + 1] + c2 * e[i] for i in range(steps - 1))

@@ -25,7 +25,6 @@ reports it as a reduced Fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import floordiv, itemgetter, truediv
 
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
@@ -36,7 +35,8 @@ from .geometry import (
     Configuration,
     Scalar,
     column_pair_weights,
-    integer_columns,
+    columns,
+    exact,
     random_config,
 )
 from .prng import MASK64, mix64
@@ -114,33 +114,27 @@ _MIDSEGMENTS = itemgetter(7, 3, 8, 4, 0, 2)  # L2L5, L1L5, L2L6, L1L6, L1L2, L1L
 
 
 def _weigh(quad: QuadLabeling) -> tuple:
-    """``(l, m, unit)`` from two kernel calls: l1..l6, and the pair weights of
-    the midpoints L1..L6 in kernel order.  Float mode has no unit (None).  In
-    rational mode every weight is an int, the weight times ``unit``."""
-    points = quad.ordered()
-    if quad.mode == RATIONAL:
+    """``(l, m, den)`` from two kernel calls: l1..l6, and the pair weights of
+    the midpoints L1..L6 in kernel order, in the number format of
+    ``geometry.columns``, so that ``exact(terms, den)`` gives their values."""
+    cols, den = columns(quad.ordered(), quad.mode)
+    half = truediv
+    if den is not None:
         # over twice the common denominator, every point and midpoint is an integer point
-        cols, den = integer_columns(points)
-        cols, half, unit = [[2 * x for x in c] for c in cols], floordiv, 4 * den * den
-    else:
-        cols, half, unit = list(zip(*points)), truediv, None
+        cols, den, half = [[2 * x for x in c] for c in cols], 2 * den, floordiv
     ga, gb = _ENDS
     mids = [[half(x + y, 2) for x, y in zip(ga(c), gb(c))] for c in cols]
-    return _SEGMENTS(column_pair_weights(cols)), column_pair_weights(mids), unit
-
-
-def _scaled(values, unit) -> tuple:
-    return tuple(Fraction(v, unit) for v in values) if unit else tuple(values)
+    return _SEGMENTS(column_pair_weights(cols)), column_pair_weights(mids), den
 
 
 def identity_terms(quad: QuadLabeling) -> IdentityTerms:
     """Evaluate every term of the relation for one labeling."""
-    l_sq, m, unit = _weigh(quad)
+    l_sq, m, den = _weigh(quad)
     l1, l2, l3, l4, l5, l6 = l_sq
     p_sq, q_sq, r_sq = _PQR(m)
     rhs = l1 + l2 + l3 + l4
     lhs = 4 * r_sq + l5 + l6
-    terms = _scaled((*l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs), unit)
+    terms = exact((*l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs), den)
     return IdentityTerms(quad.pairing, terms[:6], *terms[6:])
 
 
@@ -176,8 +170,8 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
     equal by the parallelogram structure, so one residual per segment
     suffices).
     """
-    l_sq, m, unit = _weigh(quad)
-    return _scaled((4 * x - l for x, l in zip(_MIDSEGMENTS(m), l_sq)), unit)
+    l_sq, m, den = _weigh(quad)
+    return exact((4 * x - l for x, l in zip(_MIDSEGMENTS(m), l_sq)), den)
 
 
 def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> IdentityReport:

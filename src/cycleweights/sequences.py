@@ -2,11 +2,11 @@
 
     a_0 = 0,  a_1 = 1,  a_{n+2} = (12/16) a_{n+1} - (1/16) a_n
 
-The table holds fractions.Fraction terms.  The sequence's qualitative
-facts (positivity, monotone decay, ratio bounds) involve comparisons
-against the irrational (3 + sqrt(5))/8, which exact arithmetic settles
-by squaring, as int comparisons on y_n = a_n 8^(n-1) — no tolerance ever
-enters a verdict.
+The table runs it on the ints y_n = a_n 8^(n-1), y_{n+2} = 6 y_{n+1} - 4 y_n,
+and makes each term, ratio and bound one Fraction of them.  The sequence's
+qualitative facts (positivity, monotone decay, ratio bounds) involve
+comparisons against the irrational (3 + sqrt(5))/8, which exact arithmetic
+settles by squaring, as int comparisons on y_n — no tolerance enters a verdict.
 
 The same coefficients have the closed form a_n = y_n / 8^(n-1) where
 (3 + sqrt(5))^n = x_n + y_n sqrt(5) with integer x_n, y_n; it is
@@ -22,13 +22,9 @@ from fractions import Fraction
 
 from .checks import HOLDS, VIOLATED
 from .errors import UsageError
-from .geometry import RATIONAL
 
 RATIO_LIMIT = (3 + math.sqrt(5)) / 8  # limit of a_{n+1}/a_n
 BOUND_LIMIT = (3 + math.sqrt(5)) / 2  # limit of B(n) = 3 - a_{n-1}/(4 a_n)
-
-_C1 = Fraction(12, 16)
-_C2 = Fraction(1, 16)
 
 
 @dataclass(frozen=True)
@@ -68,12 +64,14 @@ def sequence_table(n_max: int) -> SequenceTable:
     """Exact table of a_0..a_{n_max} (n_max >= 2)."""
     if n_max < 2:
         raise UsageError("n_max must be at least 2")
-    terms = [Fraction(0), Fraction(1)]
-    while len(terms) <= n_max:
-        terms.append(_C1 * terms[-1] - _C2 * terms[-2])
-    ratios = tuple(terms[k + 1] / terms[k] for k in range(1, n_max))
-    bounds = tuple(3 - terms[k - 1] / (4 * terms[k]) for k in range(2, n_max + 1))
-    return SequenceTable(tuple(terms), ratios, bounds)
+    y = [0, 1]
+    while len(y) <= n_max:
+        y.append(6 * y[-1] - 4 * y[-2])
+    # a_n = y_n / 8^(n-1), a_{n+1}/a_n = y_{n+1} / (8 y_n), B(n) = (3 y_n - 2 y_{n-1}) / y_n
+    terms = (Fraction(0), *(Fraction(y[n], 8 ** (n - 1)) for n in range(1, n_max + 1)))
+    ratios = tuple(Fraction(y[n + 1], 8 * y[n]) for n in range(1, n_max))
+    bounds = tuple(Fraction(3 * y[n] - 2 * y[n - 1], y[n]) for n in range(2, n_max + 1))
+    return SequenceTable(terms, ratios, bounds)
 
 
 def closed_form_term(n: int) -> Fraction:
@@ -174,6 +172,4 @@ def representation_residual(tr, n: int):
     table = sequence_table(max(n - 1, 2)).terms
     coeff_2 = table[n - 1]
     coeff_1 = table[n - 2] / 16
-    if tr.mode == RATIONAL:
-        return e[n - 1] - (coeff_2 * e[1] - coeff_1 * e[0])
-    return e[n - 1] - (float(coeff_2) * e[1] - float(coeff_1) * e[0])
+    return e[n - 1] - (coeff_2 * e[1] - coeff_1 * e[0])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleweights import bounds
@@ -28,7 +28,7 @@ from cycleweights.checks import (
     VIOLATED,
 )
 from cycleweights.cycles import (
-    canonicalize, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+    canonicalize, complement_cycle, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
 )
 from cycleweights.errors import DegenerateError, UsageError
 from cycleweights.geometry import (
@@ -583,3 +583,30 @@ def test_rows_are_classified_only_where_the_screen_does_not_settle(mode, monkeyp
     kept, counts, _, _ = _check_rows(configs, 1e-9, False)
     assert len(calls) == 6 and kept == []
     assert counts == {HOLDS: 10, HOLDS_WITH_EQUALITY: 2, VIOLATED: 0, DEGENERATE: 0}
+
+
+def _reference_duality(config):
+    """(cycle, complement, ratio, complement ratio, residual) of each cycle,
+    from ``cycle_weight`` and ``total_weight``."""
+    w_k = total_weight(config)
+    rows = []
+    for cycle in enumerate_cycles(5):
+        comp = complement_cycle(cycle)
+        r_e, r_d = cycle_weight(config, cycle) / w_k, cycle_weight(config, comp) / w_k
+        rows.append((cycle, comp, r_e, r_d, r_e + r_d - 1))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_lists(RATIONAL).map(lambda c: c[0]).filter(lambda c: c.n == 5))
+def test_duality_rows_match_the_cycle_weight_ratios(config):
+    assume(total_weight(config) > 0)
+    rep = duality_check(config)
+    got = [(r.cycle, r.complement, r.ratio, r.complement_ratio, r.residual) for r in rep.rows]
+    assert got == _reference_duality(config) and rep.verdict == HOLDS
+    assert all(type(v) is Fraction for row in got for v in row[2:])
+    # the float arm keeps its bits
+    config = Configuration(config.points, FLOAT)
+    got = [(r.cycle, r.complement, r.ratio, r.complement_ratio, r.residual)
+           for r in duality_check(config).rows]
+    assert repr(got) == repr(_reference_duality(config))

@@ -17,6 +17,7 @@ from cycleweights.cycles import enumerate_cycles
 from cycleweights.geometry import MAX_RATIONAL_TOKEN
 
 SQUARE_FILE = "points 4 dim 2 mode float\n0 0\n1 0\n1 1\n0 1\n"
+PENT_FLOAT = str(Path(__file__).parent / "golden" / "inputs" / "pent_float.txt")
 
 
 def invoke(capsys, *argv):
@@ -433,6 +434,12 @@ def test_help_exits_zero(capsys):
         ("identity", "--fuzz", "3", "--seed", "-7"),
         ("iterate", "--seed", "x"),
         ("optimize", "--n", "4", "--seed", "-1"),
+        ("iterate", "--polygon", "--mode", "rational", "--steps", "2"),
+        ("iterate", "--polygon", "--seed", "3"),
+        ("iterate", "--in", PENT_FLOAT, "--seed", "3"),
+        ("iterate", "--in", PENT_FLOAT, "--polygon"),
+        ("gen", "--polygon", "--dim", "3"),
+        ("iterate", "--polygon", "--dim", "3"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):

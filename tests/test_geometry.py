@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycleweights.errors import DegenerateError, UsageError
@@ -11,8 +11,9 @@ from cycleweights.geometry import (
     RATIONAL,
     Configuration,
     column_pair_weights,
+    columns,
+    exact,
     format_points,
-    integer_columns,
     midpoint,
     normalize,
     normalized_points,
@@ -310,9 +311,16 @@ def test_column_kernel_matches_row_loops(points):
 @settings(max_examples=200)
 @given(st.lists(st.tuples(*[st.builds(Fraction, st.integers(-99, 99), st.integers(1, 60))] * 2),
                 min_size=1, max_size=6))
-def test_integer_columns_clear_every_denominator(points):
-    cols, den = integer_columns(points)
+@example([(Fraction(1), Fraction(-2)), (Fraction(3), Fraction(0))])  # den == 1
+def test_columns_clear_every_denominator(points):
+    cols, den = columns(points, RATIONAL)
     assert den == math.lcm(*(x.denominator for p in points for x in p))
     assert all(type(x) is int for col in cols for x in col)
     assert [tuple(Fraction(x, den) for x in p) for p in zip(*cols)] == points
     assert column_pair_weights(cols) == [w * den * den for w in pair_weights(points)]
+    assert exact(column_pair_weights(cols), den) == tuple(pair_weights(points))
+    # float mode: the plain columns, whose weights are already values
+    floats = [tuple(map(float, p)) for p in points]
+    cols, den = columns(floats, FLOAT)
+    assert den is None and cols == list(zip(*floats))
+    assert repr(exact(column_pair_weights(cols), den)) == repr(tuple(pair_weights(floats)))

@@ -2,10 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cycleweights.cycles import canonicalize, complement_weight, cycle_weight, total_weight
+from cycleweights.cycles import (
+    canonicalize, complement_cycle, complement_weight, cycle_weight, enumerate_cycles,
+    total_weight,
+)
 from cycleweights.errors import DegenerateError, UsageError
-from cycleweights.geometry import Configuration, RATIONAL, random_config, regular_polygon
+from cycleweights.geometry import (
+    FLOAT, Configuration, RATIONAL, midpoint, random_config, regular_polygon, squared_distance,
+)
 from cycleweights.pentagon import init_state, quadruple_decomposition, step, trace
 from cycleweights.sequences import BOUND_LIMIT, RATIO_LIMIT
 
@@ -152,3 +159,52 @@ def test_trace_respects_chosen_cycle():
     assert abs(s.e - D1) <= 1e-9 * 25
     assert abs(s.d - E1) <= 1e-9 * 25
     assert trace(PENTAGON, pentagram, 10).max_relative_residual() <= 1e-9
+
+
+# --- the iteration against per-pair Fraction references ---------------------
+
+
+def _reference_states(config, e_cycle, steps):
+    """(level, points, d, e) of every level, stepped with ``midpoint`` and
+    weighed with ``squared_distance`` on the configuration's own scalars."""
+    pts = tuple(config.points[v] for v in complement_cycle(e_cycle).order)
+    states = [(1, pts, complement_weight(config, e_cycle), cycle_weight(config, e_cycle))]
+    for level in range(2, steps + 2):
+        pts = tuple(midpoint(pts[k], pts[(k + 1) % 5]) for k in range(5))
+        d = e = 0
+        for k in range(5):
+            d += squared_distance(pts[k], pts[(k + 1) % 5])
+        for k in range(5):
+            e += squared_distance(pts[k], pts[(k + 2) % 5])
+        states.append((level, pts, d, e))
+    return states
+
+
+small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def _five_points(draw):
+    """Five small p/q points of dimension 2 or 3 from a pool of at most five,
+    so that some coincide, or a seeded random configuration's points."""
+    dim = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        return random_config(draw(st.integers(0, 2**64 - 1)), 5, dim, RATIONAL).points
+    pool = draw(st.lists(st.tuples(*[small] * dim), min_size=2, max_size=5))
+    points = tuple(draw(st.sampled_from(pool)) for _ in range(5))
+    assume(len(set(points)) > 1)
+    return points
+
+
+@settings(max_examples=100, deadline=None)
+@given(_five_points(), st.sampled_from(enumerate_cycles(5)), st.integers(1, 12))
+def test_trace_states_match_the_per_pair_references(points, e_cycle, steps):
+    config = Configuration(points, RATIONAL)
+    got = [(s.level, s.points, s.d, s.e) for s in trace(config, e_cycle, steps).states]
+    assert got == _reference_states(config, e_cycle, steps)
+    assert all(type(v) is Fraction
+               for _, pts, d, e in got for v in (d, e, *(x for p in pts for x in p)))
+    # the float arm keeps its bits
+    config = Configuration(points, FLOAT)
+    got = [(s.level, s.points, s.d, s.e) for s in trace(config, e_cycle, steps).states]
+    assert repr(got) == repr(_reference_states(config, e_cycle, steps))

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleweights.bounds import spectral_interval
 from cycleweights.cycles import canonicalize
@@ -202,3 +204,22 @@ def test_rates_are_the_five_point_spectral_ends():
     assert (c1, c0) == (Fraction(12, 16), Fraction(1, 16))
     assert abs(rate + conjugate - c1) <= 1e-15
     assert abs(rate * conjugate - c0) <= 1e-15
+
+
+def _fraction_recurrence(n_max):
+    """terms, ratios and bound values of a table from the Fraction recurrence."""
+    terms = [Fraction(0), Fraction(1)]
+    while len(terms) <= n_max:
+        terms.append(Fraction(12, 16) * terms[-1] - Fraction(1, 16) * terms[-2])
+    ratios = tuple(terms[k + 1] / terms[k] for k in range(1, n_max))
+    bounds = tuple(3 - terms[k - 1] / (4 * terms[k]) for k in range(2, n_max + 1))
+    return tuple(terms), ratios, bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300))
+def test_table_matches_the_fraction_recurrence(n_max):
+    table = sequence_table(n_max)
+    got = (table.terms, table.ratios, table.bound_values)
+    assert got == _fraction_recurrence(n_max)
+    assert all(type(v) is Fraction for part in got for v in part)
