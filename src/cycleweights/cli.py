@@ -89,19 +89,42 @@ def _emit(args, records, lines) -> None:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
 
 
-def _load(args, n=None) -> Configuration:
-    """The --in point file ('-' reads stdin), holding n points if n is given."""
-    try:
-        if args.infile == "-":
-            text = sys.stdin.read()
-        else:
-            text = Path(args.infile).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {args.infile}: {exc}") from None
-    config = parse_points(text)
-    if n is not None and config.n != n:
-        raise UsageError(f"{args.command} takes {n} points, the file has {config.n}")
-    return config
+def _refuse(args, form, *names) -> None:
+    """A usage error for the first named option given a value other than its
+    default: the chosen form ``form`` would ignore it."""
+    for name in names:
+        if name in args.given:
+            raise UsageError(f"--{name.replace('_', '-')} has no effect with {form}")
+
+
+def _draw(args) -> tuple:
+    """--seed, --dim and --mode of a seeded draw, by default 0, 2 and float."""
+    return 0 if args.seed is None else args.seed, args.dim or 2, args.mode or FLOAT
+
+
+def _configuration(args, n) -> Configuration:
+    """The points of --in ('-' reads stdin), which must number n if n is given;
+    else the regular n-gon of --polygon and --radius; else the seeded draw of
+    --seed, --dim and --mode.  An option the chosen form ignores is refused."""
+    if "infile" in args.given:
+        _refuse(args, "--in", "polygon", "radius", "seed", "mode", "dim", "trials")
+        try:
+            if args.infile == "-":
+                text = sys.stdin.read()
+            else:
+                text = Path(args.infile).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {args.infile}: {exc}") from None
+        config = parse_points(text)
+        if n is not None and config.n != n:
+            raise UsageError(f"{args.command} takes {n} points, the file has {config.n}")
+        return config
+    if "polygon" in args.given:
+        _refuse(args, "--polygon", "seed", "mode", "dim")
+        return regular_polygon(n, args.radius)
+    _refuse(args, "a seeded draw", "radius")
+    seed, dim, mode = _draw(args)
+    return random_config(seed, n, dim, mode)
 
 
 def _tolerance(text: str) -> float:
@@ -132,26 +155,13 @@ def _row_json(row, *drop) -> dict:
     return {**_jsonable(row, ("w_cycle", "w_complement", "w_total", *drop)), **weights}
 
 
-def _polygon(args, n) -> Configuration:
-    """The regular n-gon of --radius, which is 2-D and float: a --dim or --mode
-    it would ignore is a usage error."""
-    if args.mode == RATIONAL:
-        raise UsageError("regular polygons are float mode only")
-    if args.dim != 2:
-        raise UsageError("regular polygons are 2-D only")
-    return regular_polygon(n, args.radius)
-
-
 # --- gen --------------------------------------------------------------
 
 
 def _cmd_gen(args) -> int:
     if not 3 <= args.n <= 10:
         raise UsageError("--n must be between 3 and 10")
-    if args.polygon:
-        config = _polygon(args, args.n)
-    else:
-        config = random_config(args.seed, args.n, args.dim, args.mode)
+    config = _configuration(args, args.n)
     _emit(
         args,
         lambda: [{"kind": "points", "n": config.n, **_jsonable(config)}],
@@ -165,7 +175,10 @@ def _cmd_gen(args) -> int:
 
 def _trial_count(args) -> int:
     """--fuzz may carry the count inline or defer to --trials."""
-    return args.trials if args.fuzz == -1 else args.fuzz
+    if args.fuzz == -1:
+        return args.trials
+    _refuse(args, f"--fuzz {args.fuzz}", "trials")
+    return args.fuzz
 
 
 def _cmd_verify(args) -> int:
@@ -173,20 +186,16 @@ def _cmd_verify(args) -> int:
         raise UsageError("provide exactly one of --in or --fuzz")
     duality = None
     if args.infile is not None:
-        config = _load(args)
-        if args.n is not None and args.n != config.n:
-            raise UsageError(f"--n {args.n} does not match file ({config.n} points)")
+        config = _configuration(args, args.n)
         report = bounds_mod.check_bounds(config, args.tol)
         if args.duality:
             duality = bounds_mod.duality_check(config)
     else:
         if args.n is None:
             raise UsageError("--fuzz needs --n")
-        if args.duality:
-            raise UsageError("--duality works on a single 5-point input")
-        report = bounds_mod.fuzz(
-            args.seed, _trial_count(args), args.n, args.dim, args.tol, args.mode
-        )
+        _refuse(args, "--fuzz", "duality")
+        seed, dim, mode = _draw(args)
+        report = bounds_mod.fuzz(seed, _trial_count(args), args.n, dim, args.tol, mode)
 
     def records():
         yield from (_row_json(r) for r in report.rows)
@@ -225,9 +234,9 @@ def _cmd_identity(args) -> int:
     if (args.infile is None) == (args.fuzz is None):
         raise UsageError("provide exactly one of --in or --fuzz")
     if args.fuzz is not None:
-        rep = quad_mod.fuzz_identity(
-            args.seed, _trial_count(args), args.dim, args.mode, args.tol
-        )
+        _refuse(args, "--fuzz", "pairing")
+        seed, dim, mode = _draw(args)
+        rep = quad_mod.fuzz_identity(seed, _trial_count(args), dim, mode, args.tol)
         fields = ("trials", "dim", "mode", "checks", "violations", "max_rel_residual")
         _emit(
             args,
@@ -236,7 +245,7 @@ def _cmd_identity(args) -> int:
         )
         return 1 if rep.violations else 0
 
-    config = _load(args, 4)
+    config = _configuration(args, 4)
     pairings = (0, 1, 2) if args.pairing == "all" else (int(args.pairing),)
     reports = [
         quad_mod.verify_identity(
@@ -272,14 +281,9 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    if (args.infile is not None) + args.polygon + (args.seed is not None) != 1:
-        raise UsageError("provide exactly one of --in, --polygon, or --seed")
-    if args.infile is not None:
-        config = _load(args, 5)
-    elif args.polygon:
-        config = _polygon(args, 5)
-    else:
-        config = random_config(args.seed, 5, args.dim, args.mode)
+    if not {"infile", "polygon", "seed"} & args.given:
+        raise UsageError("provide one of --in, --polygon, or --seed")
+    config = _configuration(args, 5)
     try:
         e_cycle = canonicalize([int(t) for t in args.cycle.split(",")])
     except ValueError:
@@ -360,6 +364,7 @@ def _optimize_json(res) -> dict:
 
 def _cmd_optimize(args) -> int:
     if args.conjecture:
+        _refuse(args, "--conjecture", "n", "objective")
         if args.n_min > args.n_max:
             raise UsageError("--n-min must not exceed --n-max")
         rows = conjecture_table(
@@ -385,6 +390,7 @@ def _cmd_optimize(args) -> int:
     else:
         if args.n is None:
             raise UsageError("provide --n (or --conjecture)")
+        _refuse(args, "--n", "n_min", "n_max")
         res = optimize(args.seed, args.n, args.dim, args.objective, args.restarts, args.budget)
         results = [res]
 
@@ -414,6 +420,8 @@ def _cmd_pentagon(args) -> int:
         raise UsageError("--n must be between 3 and 10")
     if args.check and args.n != 5:
         raise UsageError("--check applies to the pentagon (n = 5)")
+    if not args.check:
+        _refuse(args, "pentagon without --check", "tol")
     config = regular_polygon(args.n, args.radius)
     # a radius so small or so large that w(K_n) is 0 or not finite leaves no ratio
     out_of_range = f"squared distances under- or overflow at radius {args.radius!r}"
@@ -462,7 +470,7 @@ def _add_common(p, *, seed=True, mode=True):
     if seed:
         p.add_argument("--seed", type=_seed, default=None)
     if mode:
-        p.add_argument("--mode", choices=list(MODES), default=FLOAT)
+        p.add_argument("--mode", choices=list(MODES), default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
 
@@ -476,38 +484,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a point configuration")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--polygon", action="store_true")
     p.add_argument("--radius", type=float, default=1.0)
     _add_common(p)
-    p.set_defaults(func=_cmd_gen, seed=0)
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="check cycle weights against the spectral interval")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--fuzz", type=int, nargs="?", const=-1, default=None, metavar="TRIALS")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
     p.add_argument("--duality", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_verify, seed=0)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identity", help="check the four-point midpoint relation")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--fuzz", type=int, nargs="?", const=-1, default=None, metavar="TRIALS")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--pairing", choices=("0", "1", "2", "all"), default="all")
     p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
     _add_common(p)
-    p.set_defaults(func=_cmd_identity, seed=0)
+    p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("iterate", help="run the five-point midpoint iteration")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--polygon", action="store_true")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--cycle", default="0,1,2,3,4")
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
@@ -551,6 +559,9 @@ def run(argv=None) -> int:
         if exc.code in (0, None):
             return 0
         return 2
+    # the options given a value other than the subcommand's default
+    defaults = vars(parser.parse_args([args.command]))
+    args.given = {name for name, value in vars(args).items() if value != defaults[name]}
     try:
         return args.func(args)
     except UsageError as exc:

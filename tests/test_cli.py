@@ -18,6 +18,9 @@ from cycleweights.geometry import MAX_RATIONAL_TOKEN
 
 SQUARE_FILE = "points 4 dim 2 mode float\n0 0\n1 0\n1 1\n0 1\n"
 PENT_FLOAT = str(Path(__file__).parent / "golden" / "inputs" / "pent_float.txt")
+PENT_RATIONAL = str(Path(__file__).parent / "golden" / "inputs" / "pent_rational.txt")
+QUAD_FLOAT = str(Path(__file__).parent / "golden" / "inputs" / "quad_float.txt")
+QUAD_RATIONAL = str(Path(__file__).parent / "golden" / "inputs" / "quad_rational.txt")
 
 
 def invoke(capsys, *argv):
@@ -440,12 +443,39 @@ def test_help_exits_zero(capsys):
         ("iterate", "--in", PENT_FLOAT, "--polygon"),
         ("gen", "--polygon", "--dim", "3"),
         ("iterate", "--polygon", "--dim", "3"),
+        # an option that the chosen form ignores
+        ("iterate", "--in", PENT_RATIONAL, "--mode", "float", "--steps", "2"),
+        ("verify", "--in", PENT_RATIONAL, "--mode", "float"),
+        ("verify", "--in", PENT_RATIONAL, "--dim", "3", "--seed", "5"),
+        ("identity", "--in", QUAD_RATIONAL, "--seed", "4"),
+        ("gen", "--polygon", "--seed", "5"),
+        ("gen", "--polygon", "--mode", "float"),
+        ("gen", "--radius", "2"),
+        ("iterate", "--seed", "3", "--radius", "2", "--steps", "2"),
+        ("verify", "--in", PENT_FLOAT, "--trials", "5"),
+        ("identity", "--in", QUAD_FLOAT, "--trials", "5"),
+        ("verify", "--n", "5", "--fuzz", "3", "--trials", "9"),
+        ("identity", "--fuzz", "3", "--pairing", "1"),
+        ("optimize", "--conjecture", "--n", "5", "--restarts", "1", "--budget", "5"),
+        ("optimize", "--conjecture", "--objective", "minimize", "--restarts", "1", "--budget", "5"),
+        ("optimize", "--n", "5", "--n-max", "6", "--restarts", "1", "--budget", "5"),
+        ("pentagon", "--tol", "0.5"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
-    code, _, err = invoke(capsys, *argv)
-    assert code == 2
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "--n", "4"), ("verify", "--n", "4", "--fuzz", "20")],
+)
+def test_a_draw_accepts_its_defaults_given_explicitly(capsys, argv):
+    explicit = invoke(capsys, *argv, "--seed", "0", "--dim", "2", "--mode", "float")
+    assert explicit == invoke(capsys, *argv)
+    assert explicit[0] == 0 and explicit[1]
 
 
 def test_seed_takes_every_u64(capsys):
