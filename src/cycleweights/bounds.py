@@ -41,7 +41,7 @@ from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
     Configuration, FLOAT, RATIONAL, column_pair_weights, columns, exact, ordered_sum,
-    random_config,
+    random_columns, random_config,
 )
 from .prng import MASK64, mix64
 
@@ -181,56 +181,65 @@ def classify(w_e, w_k, n: int, tolerance: float, mode: str):
     return (None, DEGENERATE) if w_k == 0 else _classify(_spectrum(n), w_e, w_k, tolerance, mode)
 
 
-def _check_rows(configs, tolerance: float, keep_all: bool):
+def _screen(spec, r_min, r_max, w_es, w_k, tolerance: float, mode: str) -> tuple:
+    """The running extreme ratios after a configuration with cycle weights
+    ``w_es`` (first kept, replaced only on a strict < or >, as ``min``/``max``
+    do), and the verdict of all its rows if the report only counts it, else
+    None.  ``_classify`` is monotone in w_e: if the lightest cycle clears the
+    lower end and the heaviest the upper one by more than the tolerance
+    (exactly, in rational mode), every row holds.  If the two weigh the same,
+    one ``_classify`` call decides every row."""
+    if not 0 < w_k < math.inf:
+        return r_min, r_max, None
+    lo, hi, n, poly, lo_end, hi_end = spec
+    e_min, e_max = min(w_es), max(w_es)
+    if mode == RATIONAL:
+        # cross-multiplying compares the ratios; a Fraction is built per new extreme
+        if r_min is None or e_min * r_min.denominator < r_min.numerator * w_k:
+            r_min = Fraction(e_min, w_k)
+        if r_max is None or e_max * r_max.denominator > r_max.numerator * w_k:
+            r_max = Fraction(e_max, w_k)
+        clear = _side(poly, n, e_min, w_k, lo_end) > 0 and _side(poly, n, e_max, w_k, hi_end) < 0
+    else:
+        # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
+        lo_r, hi_r = e_min / w_k, e_max / w_k
+        r_min = lo_r if r_min is None or lo_r < r_min else r_min
+        r_max = hi_r if r_max is None or hi_r > r_max else r_max
+        clear = (lo_r - lo > tolerance and hi - hi_r > tolerance
+                 and (n % 2 or hi * w_k - e_max > tolerance * w_k))
+    if e_min == e_max:
+        verdict = _classify(spec, e_min, w_k, tolerance, mode)[1]
+        return r_min, r_max, verdict if verdict in (HOLDS, HOLDS_WITH_EQUALITY) else None
+    return r_min, r_max, HOLDS if clear else None
+
+
+def _check_rows(configs, tolerance: float, keep_all: bool, first_id: int = 0):
     """Classify every cycle of each configuration, as a stream.
 
     Each configuration becomes one pair-weight vector (ints times den**2
     in rational mode, see ``geometry.columns``), and its cycle weights come
     from ``cycle_sums``.  If w(K_n) is 0 or not finite, every row is
-    degenerate.  Ratio extremes come from the extreme cycle weights
-    (first value kept, replaced only on a strict < or >, as ``min``/``max``
-    do), and so do the verdicts when rows are not all kept: every test in
-    ``_classify`` is monotone in w_e, so if the lightest cycle clears the
-    lower end and the heaviest the upper one by more than the tolerance
-    (exactly, in rational mode), every row holds and the configuration is
-    counted without a row loop.  Any other configuration, and every one
-    when ``keep_all``, is classified row by row.  A CycleRow is built only
-    for rows that are reported: all of them when ``keep_all``, otherwise
-    the violated and degenerate ones.  Config ids count from 0.
-    ``_spectrum`` refuses an n outside 3..10.
+    degenerate.  ``_screen`` gives the ratio extremes, and counts the rows of
+    a configuration it settles unless ``keep_all``; the others are classified
+    row by row.  A CycleRow is built only for rows that are reported: all of
+    them when ``keep_all``, otherwise the violated and degenerate ones.
+    Config ids count from ``first_id``.  ``_spectrum`` refuses an n outside 3..10.
     """
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
-    r_min = r_max = None  # extreme ratios; (w_e, w_k) pairs in rational mode
+    r_min = r_max = None
     kept = []
-    for config_id, config in enumerate(configs):
+    for config_id, config in enumerate(configs, first_id):
         n, mode = config.n, config.mode
         spec = _spectrum(n)
-        lo, hi, _, poly, lo_end, hi_end = spec
         cols, den = columns(config.points, mode)
         w = column_pair_weights(cols)
         w_k = ordered_sum(w)
         w_es = cycle_sums(w, n)
         has_ratio = 0 < w_k < math.inf
-        if has_ratio:
-            e_min, e_max = min(w_es), max(w_es)
-            if mode == RATIONAL:
-                # w_k > 0, so cross-multiplying compares the ratios
-                if r_min is None or e_min * r_min[1] < r_min[0] * w_k:
-                    r_min = (e_min, w_k)
-                if r_max is None or e_max * r_max[1] > r_max[0] * w_k:
-                    r_max = (e_max, w_k)
-                settled = (_side(poly, n, e_min, w_k, lo_end) > 0
-                           and _side(poly, n, e_max, w_k, hi_end) < 0)
-            else:
-                # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
-                lo_r, hi_r = e_min / w_k, e_max / w_k
-                r_min = lo_r if r_min is None or lo_r < r_min else r_min
-                r_max = hi_r if r_max is None or hi_r > r_max else r_max
-                settled = (lo_r - lo > tolerance and hi - hi_r > tolerance
-                           and (n % 2 or hi * w_k - e_max > tolerance * w_k))
-            if settled and not keep_all:
-                counts[HOLDS] += len(w_es)
-                continue
+        r_min, r_max, verdict = _screen(spec, r_min, r_max, w_es, w_k, tolerance, mode)
+        if verdict is not None and not keep_all:
+            counts[verdict] += len(w_es)
+            continue
         for cycle, w_e in zip(enumerate_cycles(n), w_es):
             ratio, verdict = (
                 _classify(spec, w_e, w_k, tolerance, mode) if has_ratio else (None, DEGENERATE)
@@ -241,8 +250,6 @@ def _check_rows(configs, tolerance: float, keep_all: bool):
                     ratio = Fraction(w_e, w_k)
                 weights = exact((w_e, w_k - w_e, w_k), den)
                 kept.append(CycleRow(config_id, cycle, *weights, ratio, verdict))
-    if isinstance(r_min, tuple):
-        r_min, r_max = Fraction(*r_min), Fraction(*r_max)
     return kept, counts, r_min, r_max
 
 
@@ -317,6 +324,11 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
     return DualityReport(config.mode, tolerance, HOLDS if ok else VIOLATED, tuple(rows))
 
 
+# Cycle sums per pass of the fuzz screen: a chunk is max(1, 1024 // cycle
+# count) trials, 85 at n = 5 and 1 from n = 8 up.
+_SCREEN_SUMS = 1024
+
+
 def fuzz(
     seed: int,
     trials: int,
@@ -330,12 +342,33 @@ def fuzz(
     Trial i draws its configuration from the derived seed
     mix64(seed + i); any trial can be replayed alone with that seed.
     The report keeps only violated/degenerate rows.  An unsupported n,
-    dim or mode raises UsageError when the first trial is drawn.
+    dim or mode raises UsageError before any trial is drawn.  A chunk of
+    trials is drawn, weighed and screened one stage at a time, with the bits
+    of ``_check_rows``; a trial it does not settle is replayed alone there.
     """
     _require_tolerance(tolerance)
     if trials < 1:
         raise UsageError("trials must be at least 1")
-    configs = (
-        random_config(mix64((seed + i) & MASK64), n, dim, mode) for i in range(trials)
-    )
-    return _aggregate(n, mode, tolerance, trials, *_check_rows(configs, tolerance, False))
+    random_columns((), n, dim, mode)  # random_config's checks, on no draws
+    spec, pairs, cycles = _spectrum(n), n * (n - 1) // 2, math.factorial(n - 1) // 2
+    chunk = max(1, _SCREEN_SUMS // cycles)
+    counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
+    r_min = r_max = None
+    kept = []
+    for start in range(0, trials, chunk):
+        seeds = [mix64((seed + i) & MASK64) for i in range(start, min(start + chunk, trials))]
+        w = column_pair_weights(random_columns(seeds, n, dim, mode)[0], len(seeds))
+        w_ks = [ordered_sum(w[k:k + pairs]) for k in range(0, len(w), pairs)]
+        es = cycle_sums(w, n, len(seeds))
+        parts = [es[k:k + cycles] for k in range(0, len(es), cycles)]
+        for i, (trial_seed, w_k, w_es) in enumerate(zip(seeds, w_ks, parts), start):
+            r_min, r_max, verdict = _screen(spec, r_min, r_max, w_es, w_k, tolerance, mode)
+            if verdict is not None:
+                counts[verdict] += cycles
+                continue
+            config = random_config(trial_seed, n, dim, mode)
+            rows, replayed, _, _ = _check_rows((config,), tolerance, False, i)
+            kept += rows
+            for verdict, count in replayed.items():
+                counts[verdict] += count
+    return _aggregate(n, mode, tolerance, trials, kept, counts, r_min, r_max)

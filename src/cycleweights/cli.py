@@ -97,9 +97,16 @@ def _refuse(args, form, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} has no effect with {form}")
 
 
+def _mode(args, mode) -> str:
+    """The resolved ``mode``; --tol is refused beside a rational one, which decides exactly."""
+    if mode == RATIONAL:
+        _refuse(args, "rational mode", "tol")
+    return mode
+
+
 def _draw(args) -> tuple:
     """--seed, --dim and --mode of a seeded draw, by default 0, 2 and float."""
-    return 0 if args.seed is None else args.seed, args.dim or 2, args.mode or FLOAT
+    return 0 if args.seed is None else args.seed, args.dim or 2, _mode(args, args.mode or FLOAT)
 
 
 def _configuration(args, n) -> Configuration:
@@ -116,6 +123,7 @@ def _configuration(args, n) -> Configuration:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.infile}: {exc}") from None
         config = parse_points(text)
+        _mode(args, config.mode)
         if n is not None and config.n != n:
             raise UsageError(f"{args.command} takes {n} points, the file has {config.n}")
         return config

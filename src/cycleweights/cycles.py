@@ -111,15 +111,19 @@ def cycle_edges(n: int) -> tuple:
     return tuple(tuple(map(index, zip(o, o[1:] + o[:1]))) for o in _canonical_orders(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _position_gathers(n: int) -> tuple:
-    """Gather k takes the k-th edge of every cycle from a pair-weight vector."""
-    return tuple(_gather(position) for position in zip(*cycle_edges(n)))
+@functools.lru_cache(maxsize=64)
+def _position_gathers(n: int, batch: int = 1) -> tuple:
+    """Gather k takes the k-th edge of every cycle from each of ``batch``
+    pair-weight vectors laid end to end."""
+    size = n * (n - 1) // 2
+    return tuple(_gather([t + e for t in range(0, batch * size, size) for e in position])
+                 for position in zip(*cycle_edges(n)))
 
 
-def cycle_sums(w, n: int) -> list:
+def cycle_sums(w, n: int, batch: int = 1) -> list:
     """Weight of every cycle of ``enumerate_cycles(n)`` from the pair weights
-    ``w`` of n points (``pair_weights`` order), as a list in that order.
+    ``w`` of n points (``pair_weights`` order), as a list in that order; the
+    lists of ``batch`` configurations end to end if ``w`` holds their vectors so.
 
     Edge position by position, each cycle adds its next pair weight to its
     running sum, the column idiom of ``geometry.column_pair_weights``.  The
@@ -127,7 +131,7 @@ def cycle_sums(w, n: int) -> list:
     sum from 0 skips nothing since 0 + x == x for weights x >= 0, so every
     entry equals it bit for bit.
     """
-    first, *rest = _position_gathers(n)
+    first, *rest = _position_gathers(n, batch)
     acc = first(w)
     for gather in rest:
         acc = list(map(operator.add, acc, gather(w)))

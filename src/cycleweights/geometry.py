@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateError, UsageError
-from .prng import draws
+from .prng import stream_draws
 
 FLOAT = "float"
 RATIONAL = "rational"
@@ -86,17 +86,21 @@ def _gather(indices):
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_gathers(n: int) -> tuple:
-    """Gathers of the i ends and of the j ends of every (i, j), i < j pair."""
-    ends = tuple(zip(*itertools.combinations(range(n), 2))) or ((), ())
-    return tuple(_gather(e) for e in ends)
+def _pair_gathers(n: int, batch: int = 1) -> tuple:
+    """Gathers of the i ends and of the j ends of every (i, j), i < j pair,
+    offset by t*n in the t-th of ``batch`` configurations."""
+    pairs = list(itertools.combinations(range(n), 2))
+    ends = tuple(zip(*[(t + i, t + j) for t in range(0, batch * n, n) for i, j in pairs]))
+    return tuple(_gather(e) for e in ends or ((), ()))
 
 
-def column_pair_weights(cols) -> list:
+def column_pair_weights(cols, batch: int = 1) -> list:
     """The one weight kernel: ``pair_weights`` of coordinate columns, where
     ``cols[k][i]`` is coordinate k of point i.  Entry (i, j) is d0*d0 + d1*d1
-    (+ d2*d2), bit for bit a row loop's sum from 0, since 0 + d*d == d*d."""
-    ga, gb = _pair_gathers(len(cols[0]))
+    (+ d2*d2), bit for bit a row loop's sum from 0, since 0 + d*d == d*d.
+    The columns may hold ``batch`` configurations end to end, point t*n + i
+    being point i of configuration t; their pair vectors come back end to end."""
+    ga, gb = _pair_gathers(len(cols[0]) // batch, batch)
     w = [(d := x - y) * d for x, y in zip(ga(cols[0]), gb(cols[0]))]
     for c in cols[1:]:
         w = [v + (d := x - y) * d for v, x, y in zip(w, ga(c), gb(c))]
@@ -188,29 +192,34 @@ class Configuration:
         return len(self.points)
 
 
-def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configuration:
-    """n points drawn uniformly from the unit square/cube.
-
-    Coordinates are the first n * dim unit draws of one SplitMix64
-    stream (``prng.draws``), in point-major order, so a given seed pins
-    the configuration exactly.  Rational mode keeps the same 53-bit draws
-    as dyadic fractions; both modes therefore describe the identical
-    point set.
-    """
+def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
+    """``(cols, den)`` of one configuration per seed, laid end to end for
+    ``column_pair_weights(cols, len(seeds))``: n points uniform in the unit
+    square/cube, from the first n * dim draws of the seed's SplitMix64 stream
+    in point-major order.  Float columns hold the unit floats, ``den`` None;
+    rational ones the same 53-bit draws as ints, ``den`` 2**53 (see :func:`columns`)."""
     if n < 3:
         raise UsageError("n must be at least 3")
     if dim not in (2, 3):
         raise UsageError("dimension must be 2 or 3")
     if mode not in MODES:
         raise UsageError(f"unknown scalar mode {mode!r}")
-    if mode == RATIONAL:
-        xs = [Fraction(x, 1 << 53) for x in draws(seed, n * dim)]
-    else:
-        xs = [x * 2.0**-53 for x in draws(seed, n * dim)]  # SplitMix64.next_unit's bits
-    pts = tuple(zip(*[iter(xs)] * dim))
+    xs, den = stream_draws(seeds, n * dim), 1 << 53
+    if mode != RATIONAL:
+        xs, den = [x * 2.0**-53 for x in xs], None  # SplitMix64.next_unit's bits
+    return [xs[k::dim] for k in range(dim)], den
+
+
+def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configuration:
+    """The configuration of :func:`random_columns` for one seed, so a seed pins
+    it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
+    both modes describe the identical point set."""
+    cols, den = random_columns((seed,), n, dim, mode)
+    if den:
+        cols = [[Fraction(x, den) for x in c] for c in cols]
     # the draws need no coercion or checks: set the fields, skip __post_init__
     config = object.__new__(Configuration)
-    config.__dict__.update(points=pts, mode=mode, dim=dim)
+    config.__dict__.update(points=tuple(zip(*cols)), mode=mode, dim=dim)
     return config
 
 

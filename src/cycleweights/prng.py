@@ -15,8 +15,8 @@ State update per draw, all arithmetic mod 2**64:
 Unit floats take the top 53 bits: ``(output >> 11) * 2.0**-53``.
 
 The state after k draws is seed + k * 0x9E3779B97F4A7C15 mod 2**64, a
-closed form in k (Steele, Lea & Flood, OOPSLA 2014), so :func:`draws` takes
-a stream's first unit draws with no generator object.
+closed form in k (Steele, Lea & Flood, OOPSLA 2014), so :func:`stream_draws`
+takes the first unit draws of many streams with no generator object.
 """
 
 MASK64 = (1 << 64) - 1
@@ -42,17 +42,24 @@ def mix64(z: int) -> int:
 
 
 def draws(seed: int, count: int) -> list:
-    """Top 53 bits of the first ``count`` outputs of ``SplitMix64(seed)``.
+    """Top 53 bits of the first ``count`` outputs of ``SplitMix64(seed)``."""
+    return stream_draws((seed,), count)
+
+
+def stream_draws(seeds, count: int) -> list:
+    """``draws(seed, count)`` of each seed in ``seeds``, one stream after another.
 
     State k = 1..count comes from the closed form, and the finalizer is
     inlined, so a draw costs no call.
     """
+    steps = [k * _GAMMA for k in range(1, count + 1)]
     # each one-element ``for z in [...]`` is one step of the finalizer;
     # CPython (3.9 on) compiles it to a plain assignment
     return [
         (z ^ (z >> 31)) >> 11
-        for k in range(1, count + 1)
-        for z in [(seed + k * _GAMMA) & MASK64]
+        for seed in seeds
+        for step in steps
+        for z in [(seed + step) & MASK64]
         for z in [(z ^ (z >> 30)) * _MUL1 & MASK64]
         for z in [(z ^ (z >> 27)) * _MUL2 & MASK64]
     ]

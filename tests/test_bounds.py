@@ -312,13 +312,14 @@ def test_fuzz_memory_does_not_grow_with_trials():
         # lists, which stay allocated; later peaks count what a run holds
         fuzz(3, 2000, 5)
         peaks = []
-        for trials in (200, 2000):
+        for trials in (200, 2000, 20000):
             tracemalloc.reset_peak()
             fuzz(3, trials, 5)
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+    assert peaks[2] < 2 * peaks[0]
 
 
 # --- the bound check against the Fraction loops it replaced -----------------
@@ -610,3 +611,35 @@ def test_duality_rows_match_the_cycle_weight_ratios(config):
     got = [(r.cycle, r.complement, r.ratio, r.complement_ratio, r.residual)
            for r in duality_check(config).rows]
     assert repr(got) == repr(_reference_duality(config))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from((2, 3)), TOLERANCES, st.data())
+def test_chunked_fuzz_matches_the_trial_by_trial_reference(n, mode, seed, dim, tolerance, data):
+    # trial counts about the chunk size, so the last chunk is short, full or
+    # one trial long; the tolerances leave some trials to be replayed
+    chunk = max(1, bounds._SCREEN_SUMS // len(enumerate_cycles(n)))
+    trials = data.draw(st.sampled_from((chunk - 1, chunk, chunk + 1, 2 * chunk + 1)))
+    assume(trials > 0)
+    configs = [random_config(mix64((seed + i) % 2**64), n, dim, mode) for i in range(trials)]
+    expected = _aggregate(n, mode, tolerance, trials, *_row_by_row(configs, tolerance))
+    assert repr(fuzz(seed, trials, n, dim, tolerance, mode)) == repr(expected)
+
+
+@pytest.mark.parametrize("mode, tolerance, classified", [
+    (FLOAT, 1e-9, 1), (RATIONAL, 1e-9, 1),
+    # 1 - 2/3 <= 0.4: every row is degenerate and reported, so the rows are classified
+    (FLOAT, 0.4, 4),
+])
+def test_cycles_of_equal_weight_take_one_classification(mode, tolerance, classified, monkeypatch):
+    calls = []
+    classify_row = bounds._classify
+    monkeypatch.setattr(bounds, "_classify", lambda *a: calls.append(a) or classify_row(*a))
+    # a regular tetrahedron: every cycle weighs 2/3 of w(K_4)
+    tetrahedron = Configuration(((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)), mode)
+    kept, counts, _, _ = _check_rows([tetrahedron], tolerance, False)
+    assert len(calls) == classified
+    assert repr((kept, counts)) == repr(_row_by_row([tetrahedron], tolerance)[:2])
+    assert counts[DEGENERATE] == (3 if classified == 4 else 0)

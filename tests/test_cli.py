@@ -460,6 +460,11 @@ def test_help_exits_zero(capsys):
         ("optimize", "--conjecture", "--objective", "minimize", "--restarts", "1", "--budget", "5"),
         ("optimize", "--n", "5", "--n-max", "6", "--restarts", "1", "--budget", "5"),
         ("pentagon", "--tol", "0.5"),
+        # rational mode decides exactly, with no tolerance
+        ("verify", "--n", "5", "--fuzz", "10", "--mode", "rational", "--tol", "0.5"),
+        ("verify", "--in", PENT_RATIONAL, "--tol", "0.5"),
+        ("identity", "--fuzz", "10", "--mode", "rational", "--tol", "0.5"),
+        ("iterate", "--in", PENT_RATIONAL, "--steps", "3", "--tol", "0.5"),
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):

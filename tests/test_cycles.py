@@ -22,6 +22,7 @@ from cycleweights.cycles import (
 from cycleweights.errors import UsageError
 from cycleweights.geometry import (
     Configuration,
+    column_pair_weights,
     FLOAT,
     RATIONAL,
     ordered_sum,
@@ -227,3 +228,28 @@ def test_coincident_points_zero_weights():
     cy = canonicalize(range(4))
     assert cycle_weight(config, cy) == 0.0
     assert total_weight(config) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=7),
+    st.sampled_from([FLOAT, RATIONAL]),
+    st.integers(min_value=2, max_value=3),
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
+)
+def test_batched_weights_are_the_single_ones_end_to_end(n, mode, dim, seeds):
+    # one pass over B configurations laid end to end gives, bit for bit, the
+    # pair weights and cycle sums of each configuration alone, concatenated
+    configs = [random_config(seed, n, dim, mode) for seed in seeds]
+    # a configuration with coincident points gives zero weights
+    configs.append(Configuration(((0.5, 0.25) + (0.0,) * (dim - 2),) * n, mode))
+    # rational columns as ints over one den, 2**53, as a chunk of draws has them
+    scale = (lambda x: int(x * 2**53)) if mode == RATIONAL else float
+    single = [[list(map(scale, c)) for c in zip(*config.points)] for config in configs]
+    batched = [[x for cols in single for x in cols[k]] for k in range(dim)]
+    w = column_pair_weights(batched, len(configs))
+    pair_vectors = [column_pair_weights(cols) for cols in single]
+    assert repr(w) == repr([x for v in pair_vectors for x in v])
+    sums = [x for v in pair_vectors for x in cycle_sums(v, n)]
+    assert repr(cycle_sums(w, n, len(configs))) == repr(sums)
+    assert all(type(x) is (int if mode == RATIONAL else float) for x in sums)

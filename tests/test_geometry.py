@@ -21,6 +21,7 @@ from cycleweights.geometry import (
     pair_weights,
     pairwise_weight,
     parse_points,
+    random_columns,
     random_config,
     regular_polygon,
     squared_distance,
@@ -149,6 +150,23 @@ def test_random_config_takes_successive_stream_draws(seed):
                 assert len(c.points) == n and all(len(p) == dim for p in c.points)
                 coords = [x for p in c.points for x in p]
                 assert list(map(repr, coords)) == list(map(repr, expected))
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_random_columns_are_the_configurations_end_to_end(mode, dim):
+    seeds = [0, 1, 2**64 - 1, 12345]
+    for n in (3, 5, 8):
+        cols, den = random_columns(seeds, n, dim, mode)
+        points = [p for seed in seeds for p in random_config(seed, n, dim, mode).points]
+        assert len(cols) == dim and all(len(c) == n * len(seeds) for c in cols)
+        if mode == RATIONAL:
+            assert den == 2**53 and all(type(x) is int for c in cols for x in c)
+            points = [tuple(int(x * den) for x in p) for p in points]
+        else:
+            assert den is None
+        assert list(map(repr, zip(*cols))) == list(map(repr, points))
+    assert random_columns([], 5, dim, mode)[0] == [[]] * dim
 
 
 def test_random_config_validation():

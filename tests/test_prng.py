@@ -1,6 +1,6 @@
 import math
 
-from cycleweights.prng import MASK64, SplitMix64, draws, mix64
+from cycleweights.prng import MASK64, SplitMix64, draws, mix64, stream_draws
 
 # first outputs for seed 0, cross-checked against the reference
 # C implementation of SplitMix64
@@ -57,3 +57,15 @@ def test_closed_form_draws_match_the_sequential_stream():
         rng = SplitMix64(seed)
         assert draws(seed, 40) == [rng.next_u64() >> 11 for _ in range(40)]
     assert draws(5, 0) == []
+
+
+def test_stream_draws_are_the_single_streams_end_to_end():
+    seeds = [0, 1, 42, 2**64 - 1, 2**64, -1, mix64(7)]
+    for count in (0, 1, 10, 15):
+        expected = []
+        for seed in seeds:
+            rng = SplitMix64(seed)
+            expected += [rng.next_u64() >> 11 for _ in range(count)]
+        assert stream_draws(seeds, count) == expected
+        assert stream_draws(seeds, count) == [x for s in seeds for x in draws(s, count)]
+    assert stream_draws([], 10) == []
