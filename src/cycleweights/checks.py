@@ -22,11 +22,8 @@ def relative_residual(residual, *terms):
     """|residual| scaled by 1 plus the largest term magnitude.
 
     Works for floats and fractions alike; with no terms given the raw
-    magnitude is returned.  A zero residual is returned as it is (its
-    magnitude), with no division: exact checks mostly end there.
+    magnitude is returned.
     """
-    if residual == 0:
-        return abs(residual)
     largest = 0
     for t in terms:
         m = -t if t < 0 else t

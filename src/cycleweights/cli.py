@@ -51,7 +51,8 @@ def _kv(obj, *names) -> str:
 def _jsonable(x, drop=()):
     """JSON form of a report value.
 
-    A dataclass becomes a dict of its fields less those named in ``drop``;
+    A dataclass becomes a dict of its fields less those named in ``drop``
+    and those kept off its repr (the ``den`` of a value held as ints);
     Fractions and Cycles become strings, a non-finite float becomes None
     (``null``: JSON has no NaN or Infinity), tuples and lists become lists,
     and the values of a dict are mapped in turn.
@@ -62,7 +63,8 @@ def _jsonable(x, drop=()):
         return None
     if dataclasses.is_dataclass(x):
         fields = dataclasses.fields(x)
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields if f.name not in drop}
+        return {f.name: _jsonable(getattr(x, f.name))
+                for f in fields if f.repr and f.name not in drop}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (tuple, list)):
@@ -197,7 +199,7 @@ def _cmd_verify(args) -> int:
         config = _configuration(args, args.n)
         report = bounds_mod.check_bounds(config, args.tol)
         if args.duality:
-            duality = bounds_mod.duality_check(config)
+            duality = bounds_mod.duality_check(config, args.tol)
     else:
         if args.n is None:
             raise UsageError("--fuzz needs --n")

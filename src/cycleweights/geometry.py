@@ -127,6 +127,38 @@ def exact(weights, den) -> tuple:
     return tuple(Fraction(v, unit) for v in weights)
 
 
+def exact_value(weight, den) -> Scalar:
+    """:func:`exact` of one weight."""
+    return exact((weight,), den)[0]
+
+
+def exact_points(cols, den) -> tuple:
+    """The points of :func:`columns`' ``(cols, den)``, as :func:`exact` reads weights."""
+    if den is not None:
+        cols = [[Fraction(x, den) for x in c] for c in cols]
+    return tuple(zip(*cols))
+
+
+class Exact:
+    """A dataclass field stored in the number format of :func:`columns` over the
+    instance's ``den`` and read as ``read(value, den)``, one exact weight by
+    default: a Fraction is built only for a value that is read."""
+
+    def __init__(self, read=exact_value):
+        self.read = read
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so that the field has no default
+        return self.read(obj.__dict__[self.name], obj.den)
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 def pair_weights(points) -> list:
     """Squared distance of every unordered pair, in (i, j), i < j order.
 
@@ -214,12 +246,10 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
     """The configuration of :func:`random_columns` for one seed, so a seed pins
     it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
     both modes describe the identical point set."""
-    cols, den = random_columns((seed,), n, dim, mode)
-    if den:
-        cols = [[Fraction(x, den) for x in c] for c in cols]
     # the draws need no coercion or checks: set the fields, skip __post_init__
     config = object.__new__(Configuration)
-    config.__dict__.update(points=tuple(zip(*cols)), mode=mode, dim=dim)
+    config.__dict__.update(points=exact_points(*random_columns((seed,), n, dim, mode)),
+                           mode=mode, dim=dim)
     return config
 
 

@@ -18,20 +18,23 @@ chosen cycle's complement D and e_1 the weight of E itself.  Law (B)
 at one level is equivalent to summing the four-point relation over the
 five quadruples of consecutive E-cycle vertices; see
 :func:`quadruple_decomposition`.
+
+Rational mode steps on int columns whose denominator doubles at each level,
+so a midpoint is an int sum; d, e and the residuals stay ints until read.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .checks import relative_residual
 from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, Scalar, column_pair_weights, columns, exact, midpoint, ordered_sum,
+    RATIONAL, Configuration, Exact, Scalar, column_pair_weights, columns, exact_points,
+    exact_value, ordered_sum,
 )
 from .quadrilateral import IdentityTerms, QuadLabeling, identity_terms
 
@@ -43,13 +46,15 @@ class IterationState:
     ``d`` sums consecutive pairs of ``points`` (the current D-type
     weight), ``e`` sums pairs two apart (the current E-type weight).
     ``mode`` is the configuration's scalar mode, which :func:`step` weighs in.
+    ``points`` (as columns), ``d`` and ``e`` are held as ``columns`` over ``den``.
     """
 
     level: int
-    points: tuple
-    d: Scalar
-    e: Scalar
+    points: tuple = Exact(exact_points)
+    d: Scalar = Exact()
+    e: Scalar = Exact()
     mode: str
+    den: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,10 @@ class Trace:
         return tuple(s.d for s in self.states)
 
     def max_relative_residual(self) -> float:
-        """Worst residual across all three law families, term-scaled."""
+        """Worst residual across all three law families, term-scaled; 0.0,
+        with no term read, when every residual is 0."""
+        if not any(self.res_a + self.res_b + self.res_c):
+            return 0.0
         d = self.d_values()
         e = self.e_values()
         worst = 0.0
@@ -117,18 +125,21 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
         raise DegenerateError("all points coincide, or the total weight overflows")
     # E summed along its traversal, as cycle_weight sums it; D is the rest of K_5
     e = cycle_sums(w, 5)[enumerate_cycles(5).index(e_cycle)]
-    points = tuple(config.points[v] for v in complement_cycle(e_cycle).order)
-    return IterationState(1, points, *exact((w_k - e, e), den), config.mode)
+    order = operator.itemgetter(*complement_cycle(e_cycle).order)
+    return IterationState(1, [order(c) for c in cols], w_k - e, e, config.mode, den)
 
 
 def step(state: IterationState) -> IterationState:
-    """Replace the five points by midpoints of consecutive pairs."""
-    pts = state.points
-    mids = tuple(midpoint(pts[k], pts[(k + 1) % 5]) for k in range(5))
-    cols, den = columns(mids, state.mode)
+    """Replace the five points by midpoints of consecutive pairs: (a + b) / 2
+    in float mode, and in rational mode a + b over twice the denominator."""
+    cols, den = vars(state)["points"], state.den
+    if den is None:
+        cols = [[(c[k] + c[k - 4]) / 2 for k in range(5)] for c in cols]
+    else:
+        cols, den = [[c[k] + c[k - 4] for k in range(5)] for c in cols], 2 * den
     w = column_pair_weights(cols)
-    d, e = exact((ordered_sum(_D_PAIRS(w)), ordered_sum(_E_PAIRS(w))), den)
-    return IterationState(state.level + 1, mids, d, e, state.mode)
+    d, e = ordered_sum(_D_PAIRS(w)), ordered_sum(_E_PAIRS(w))
+    return IterationState(state.level + 1, cols, d, e, state.mode, den)
 
 
 def trace(config: Configuration, e_cycle: Cycle, steps: int) -> Trace:
@@ -138,13 +149,15 @@ def trace(config: Configuration, e_cycle: Cycle, steps: int) -> Trace:
     states = [init_state(config, e_cycle)]
     for _ in range(steps):
         states.append(step(states[-1]))
-    d = [s.d for s in states]
-    e = [s.e for s in states]
-    # times a float weight, a Fraction is its float value, and 12/16 and 1/16 are exact ones
-    c1, c2 = Fraction(12, 16), Fraction(1, 16)
-    res_a = tuple(4 * d[i + 1] - e[i] for i in range(steps))
-    res_b = tuple(d[i] + 4 * e[i + 1] - 3 * e[i] for i in range(steps))
-    res_c = tuple(e[i + 2] - c1 * e[i + 1] + c2 * e[i] for i in range(steps - 1))
+    d, e, den = ([vars(s)[k] for s in states] for k in ("d", "e", "den"))
+    # A rational level i holds ints over den_i**2, and den_{i+1} = 2 den_i.  Over den_i**2,
+    # 4 d_{i+1} is the int d_{i+1}, and 16 times law (C) is e_{i+2} - 3 e_{i+1} + e_i, so
+    # (C) itself is that int over den_{i+2}**2 = 16 den_i**2.
+    k, c1, c2 = (1, 3, 1) if config.mode == RATIONAL else (4, 0.75, 0.0625)
+    res_a = tuple(exact_value(k * d[i + 1] - e[i], den[i]) for i in range(steps))
+    res_b = tuple(exact_value(d[i] + k * e[i + 1] - 3 * e[i], den[i]) for i in range(steps))
+    res_c = tuple(exact_value(e[i + 2] - c1 * e[i + 1] + c2 * e[i], den[i + 2])
+                  for i in range(steps - 1))
     return Trace(config.mode, tuple(states), res_a, res_b, res_c)
 
 

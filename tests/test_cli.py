@@ -117,6 +117,16 @@ def test_verify_duality(capsys, tmp_path):
     assert "complement 0,2,4,1,3" in out
 
 
+def test_verify_duality_reads_tol(capsys):
+    # at --tol 0.5 every ratio of the file is within tolerance of both ends
+    code, out, _ = invoke(capsys, "verify", "--in", PENT_FLOAT, "--duality", "--tol", "0.5")
+    rows = [line for line in out.splitlines() if line.startswith("duality cycle")]
+    assert code == 0 and len(rows) == 12
+    assert all(line.endswith(" lower True upper True") for line in rows)
+    _, default, _ = invoke(capsys, "verify", "--in", PENT_FLOAT, "--duality")
+    assert default.count(" lower False upper False") == 12
+
+
 def test_verify_fuzz(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--fuzz", "40", "--n", "5", "--seed", "6", "--dim", "3"

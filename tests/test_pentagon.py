@@ -208,3 +208,18 @@ def test_trace_states_match_the_per_pair_references(points, e_cycle, steps):
     config = Configuration(points, FLOAT)
     got = [(s.level, s.points, s.d, s.e) for s in trace(config, e_cycle, steps).states]
     assert repr(got) == repr(_reference_states(config, e_cycle, steps))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("e_cycle", (SIDES, canonicalize((0, 2, 4, 1, 3))), ids=("sides", "pentagram"))
+def test_rational_trace_of_200_steps_matches_the_references(dim, e_cycle):
+    config = random_config(40 + dim, 5, dim, RATIONAL)
+    tr = trace(config, e_cycle, 200)
+    got = [(s.level, s.points, s.d, s.e) for s in tr.states]
+    assert got == _reference_states(config, e_cycle, 200)
+    assert all(type(v) is Fraction
+               for _, pts, d, e in got for v in (d, e, *(x for p in pts for x in p)))
+    residuals = tr.res_a + tr.res_b + tr.res_c
+    assert len(residuals) == 599
+    assert all(type(r) is Fraction and r == 0 for r in residuals)
+    assert tr.max_relative_residual() == 0.0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleweights import quadrilateral
 from cycleweights.checks import HOLDS, VIOLATED, relative_residual
 from cycleweights.errors import UsageError
 from cycleweights.geometry import FLOAT, RATIONAL, midpoint, squared_distance
@@ -295,3 +296,58 @@ def test_midpoint_relations_match_the_per_pair_loops(small_pts, float_pts):
             quad = QuadLabeling(pts, pairing, mode)
             got = (midpoint_parallelogram_relations(quad), midsegment_relations(quad))
             assert repr(got) == repr(_reference_relations(quad))
+
+
+# --- the identity fuzz stays on ints ----------------------------------------
+
+
+def test_exact_terms_are_held_as_ints_and_read_as_fractions():
+    quad = QuadLabeling(HAND, 0, RATIONAL)
+    terms = identity_terms(quad)
+    assert all(type(v) is int for v in (*vars(terms)["l_sq"], vars(terms)["residual"]))
+    reference = _reference_terms(quad)
+    assert terms == reference and hash(terms) == hash(reference)
+
+
+def test_fuzz_identity_calls_the_hooked_names_per_trial_and_pairing(monkeypatch):
+    calls = dict.fromkeys(("random_config", "mix64", "identity_terms"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(quadrilateral, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(quadrilateral, name, counted)
+    for mode in (FLOAT, RATIONAL):
+        calls.update(dict.fromkeys(calls, 0))
+        assert fuzz_identity(3, 40, 2, mode).checks == 120
+        assert calls == {"random_config": 40, "mix64": 40, "identity_terms": 120}
+
+
+def test_rational_fuzz_builds_fractions_only_for_the_draws(monkeypatch):
+    count = 0
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for dim in (2, 3):
+        count = 0
+        rep = fuzz_identity(8, 200, dim, RATIONAL)
+        assert rep.violations == 0 and rep.max_rel_residual == 0.0
+        assert count == 4 * dim * 200
+
+
+def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
+    real = quadrilateral.column_pair_weights
+
+    def off_by_one(*args):
+        w = real(*args)
+        w[0] += 1
+        return w
+
+    monkeypatch.setattr(quadrilateral, "column_pair_weights", off_by_one)
+    rep = fuzz_identity(9, 30, mode=RATIONAL)
+    assert rep.violations == 90
+    assert rep.max_rel_residual > 0
