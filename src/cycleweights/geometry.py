@@ -142,7 +142,8 @@ def exact_points(cols, den) -> tuple:
 class Exact:
     """A dataclass field stored in the number format of :func:`columns` over the
     instance's ``den`` and read as ``read(value, den)``, one exact weight by
-    default: a Fraction is built only for a value that is read."""
+    default: a Fraction is built only for a value that is read.  Copy such an
+    instance with ``copy.copy``: ``dataclasses.replace`` stores the read values."""
 
     def __init__(self, read=exact_value):
         self.read = read
