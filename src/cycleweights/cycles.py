@@ -1,10 +1,10 @@
 """Hamiltonian cycles on the complete graph over a configuration.
 
-A cycle visits every vertex exactly once; vertices are configuration
-indices.  Cycles are stored in a canonical form so each of the
-(n-1)!/2 distinct cycles has exactly one representation: the sequence
-starts at vertex 0 and its second entry is smaller than its last
-(fixing the traversal direction).
+A cycle visits every vertex exactly once; vertices are configuration indices.  Cycles
+are stored in a canonical form so each of the (n-1)!/2 distinct cycles has exactly one
+representation: the sequence starts at vertex 0 and its second entry is smaller than its
+last (fixing the traversal direction).  A walk over them weighs every cycle
+(:func:`cycle_weights`); a pruned one finds just the extremes (:func:`cycle_extremes`).
 """
 
 from __future__ import annotations
@@ -138,6 +138,18 @@ def cycle_sums(w, n: int, batch: int = 1) -> list:
     return acc
 
 
+def _pair_matrix(points) -> tuple:
+    """n, the n x n matrix of pair weights and the pair weights themselves."""
+    n = len(points)
+    if not 3 <= n <= 10:
+        raise UsageError("cycle enumeration supports 3 <= n <= 10")
+    pairs = pair_weights(points)
+    w = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(itertools.combinations(range(n), 2), pairs):
+        w[i][j] = w[j][i] = x
+    return n, w, pairs
+
+
 def cycle_weights(points) -> list:
     """Weight of every cycle of ``enumerate_cycles(n)``, in that order.
 
@@ -150,12 +162,7 @@ def cycle_weights(points) -> list:
     This is the path for one configuration; many configurations at one n
     share the gathers of :func:`cycle_sums`.
     """
-    n = len(points)
-    if not 3 <= n <= 10:
-        raise UsageError("cycle enumeration supports 3 <= n <= 10")
-    w = [[0] * n for _ in range(n)]
-    for (i, j), x in zip(itertools.combinations(range(n), 2), pair_weights(points)):
-        w[i][j] = w[j][i] = x
+    n, w, _ = _pair_matrix(points)
     out = []
     append = out.append
 
@@ -179,6 +186,39 @@ def cycle_weights(points) -> list:
     for first in range(1, n - 1):
         walk(first, first, tuple(v for v in range(1, n) if v != first), w[0][first])
     return out
+
+
+def cycle_extremes(points) -> tuple:
+    """``(min(cycle_weights(points)), max(cycle_weights(points)))``, equal by ``==`` and by
+    type, from the same walk and sums with no list, skipping a subtree whose running sum plus
+    the least (greatest) pair weight per remaining edge can move neither end.  Rounded addition
+    is monotone, so that needs no margin in floats.  Random points skip almost nothing and run
+    slower than the plain walk, which the fuzz screen keeps."""
+    n, w, pairs = _pair_matrix(points)
+    lo_pair, hi_pair = min(pairs), max(pairs)
+    # the walk's first cycle, 0, 1, ..., n - 1, seeds both ends
+    lo = hi = functools.reduce(operator.add, (w[k][k + 1] for k in range(n - 1))) + w[n - 1][0]
+
+    def walk(first, last, rest, total):
+        nonlocal lo, hi
+        low = high = total
+        for _ in range(len(rest) + 1):
+            low += lo_pair
+            high += hi_pair
+        if low >= lo and high <= hi:
+            return
+        if len(rest) == 2:
+            for a, b in (rest, rest[::-1]):
+                if first < b:
+                    s = total + w[last][a] + w[a][b] + w[b][0]
+                    lo, hi = min(lo, s), max(hi, s)  # a tie keeps the earlier cycle
+            return
+        for k, v in enumerate(rest):
+            walk(first, v, rest[:k] + rest[k + 1:], total + w[last][v])
+
+    for first in range(1, n - 1):
+        walk(first, first, tuple(v for v in range(1, n) if v != first), w[0][first])
+    return lo, hi
 
 
 def cycle_weight(config: Configuration, cycle: Cycle) -> Scalar:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,20 @@ def test_pentagon_n10_builds_no_cycle(capsys):
     code, out, _ = invoke(capsys, "pentagon", "--n", "10", "--json")
     assert code == 0 and json.loads(out)["cycles"] == 181440
     assert enumerate_cycles.cache_info().currsize == 0
+
+
+def test_pentagon_n10_memory_is_not_per_cycle(capsys):
+    # a list of the 181,440 cycle weights alone would take several MiB
+    argv = ["pentagon", "--n", "10", "--json"]
+    assert run(argv) == 0  # warm-up: imports and cached tables
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2**20
 
 
 def test_pentagon_errors(capsys):

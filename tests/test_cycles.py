@@ -13,6 +13,7 @@ from cycleweights.cycles import (
     complement_cycle,
     complement_weight,
     cycle_edges,
+    cycle_extremes,
     cycle_sums,
     cycle_weight,
     cycle_weights,
@@ -28,6 +29,7 @@ from cycleweights.geometry import (
     ordered_sum,
     pair_weights,
     random_config,
+    regular_polygon,
     squared_distance,
 )
 
@@ -253,3 +255,67 @@ def test_batched_weights_are_the_single_ones_end_to_end(n, mode, dim, seeds):
     sums = [x for v in pair_vectors for x in cycle_sums(v, n)]
     assert repr(cycle_sums(w, n, len(configs))) == repr(sums)
     assert all(type(x) is (int if mode == RATIONAL else float) for x in sums)
+
+
+def _assert_extremes_are_the_walk_ends(points):
+    weights = cycle_weights(points)
+    expected = (min(weights), max(weights))
+    got = cycle_extremes(points)
+    assert got == expected
+    assert tuple(map(type, got)) == tuple(map(type, expected))
+    # repr tells float bits apart where == would not (-0.0)
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("radius", [1.0, 3.0, 7.25, 1e-100, 1e100, 1e-150, 1e150])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cycle_extremes_on_regular_polygons(n, radius):
+    # many cycles share the extreme weights here, so most of the walk is skipped
+    _assert_extremes_are_the_walk_ends(regular_polygon(n, radius).points)
+
+
+def _configurations(n_values, coordinates):
+    return st.sampled_from(n_values).flatmap(
+        lambda n: st.integers(min_value=2, max_value=3).flatmap(
+            lambda dim: st.lists(st.tuples(*[coordinates] * dim), min_size=n, max_size=n)))
+
+
+FLOATS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+FRACTIONS = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configurations(range(3, 9), FLOATS))
+def test_cycle_extremes_on_float_configurations(points):
+    _assert_extremes_are_the_walk_ends(Configuration(tuple(points)).points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configurations(range(3, 9), FRACTIONS))
+def test_cycle_extremes_on_rational_configurations(points):
+    _assert_extremes_are_the_walk_ends(Configuration(tuple(points), RATIONAL).points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configurations(range(3, 9), st.integers(min_value=0, max_value=2)),
+       st.sampled_from([FLOAT, RATIONAL]))
+def test_cycle_extremes_on_grid_configurations(points, mode):
+    # a 3 x 3 grid gives many equal cycle weights, and coincident points zero weights
+    _assert_extremes_are_the_walk_ends(Configuration(tuple(points), mode).points)
+
+
+@pytest.mark.parametrize("n, mode", [(9, FLOAT), (9, RATIONAL), (10, FLOAT)])
+def test_cycle_extremes_on_large_configurations(n, mode):
+    # Fraction sums over every cycle take seconds here: rational mode runs the n = 9 grid only
+    grid = tuple((k % 3, k // 3 % 2) for k in range(n))
+    _assert_extremes_are_the_walk_ends(Configuration(grid, mode).points)
+    if mode == FLOAT:
+        for seed in range(2):
+            _assert_extremes_are_the_walk_ends(random_config(seed, n, 2).points)
+
+
+def test_cycle_extremes_range():
+    with pytest.raises(UsageError):
+        cycle_extremes(((0.0, 0.0),) * 2)
+    with pytest.raises(UsageError):
+        cycle_extremes(tuple((float(k), 0.0) for k in range(11)))
