@@ -193,7 +193,7 @@ def cycle_extremes(points) -> tuple:
     type, from the same walk and sums with no list, skipping a subtree whose running sum plus
     the least (greatest) pair weight per remaining edge can move neither end.  Rounded addition
     is monotone, so that needs no margin in floats.  Random points skip almost nothing and run
-    slower than the plain walk, which the fuzz screen keeps."""
+    slower than the plain walk, so the fuzz screen and ``extremal`` do not use it."""
     n, w, pairs = _pair_matrix(points)
     lo_pair, hi_pair = min(pairs), max(pairs)
     # the walk's first cycle, 0, 1, ..., n - 1, seeds both ends
