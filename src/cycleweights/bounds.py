@@ -25,7 +25,7 @@ P inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,7 +37,7 @@ from .checks import (
     REL_TOL_DIRECT,
     VIOLATED,
 )
-from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
+from .cycles import complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
     Configuration, FLOAT, RATIONAL, column_pair_weights, columns, exact, ordered_sum,
@@ -46,57 +46,41 @@ from .geometry import (
 from .prng import MASK64, mix64
 
 
-@dataclass(frozen=True)
-class CycleRow:
-    """One checked cycle: weights, ratio, and its verdict."""
+class CycleRow(namedtuple(
+    "CycleRow", "config_id cycle w_cycle w_complement w_total ratio verdict",
+)):
+    """One checked cycle: weights, ratio (None when the total weight is zero),
+    and its verdict."""
 
-    config_id: int
-    cycle: Cycle
-    w_cycle: object
-    w_complement: object
-    w_total: object
-    ratio: object  # None when the total weight is zero
-    verdict: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple(
+    "BoundReport",
+    "n mode tolerance trials checks violations degenerate equalities min_ratio max_ratio rows",
+)):
     """Aggregate over all checked cycles of one or many configurations.
 
     ``rows`` carries every row for single-configuration checks but only
     the interesting (violated/degenerate) rows under fuzzing.
     """
 
-    n: int
-    mode: str
-    tolerance: float
-    trials: int
-    checks: int
-    violations: int
-    degenerate: int
-    equalities: int
-    min_ratio: object
-    max_ratio: object
-    rows: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualityRow:
-    cycle: Cycle
-    complement: Cycle
-    ratio: object
-    complement_ratio: object
-    residual: object  # ratio + complement_ratio - 1
-    lower_attained: bool
-    upper_attained: bool
+class DualityRow(namedtuple(
+    "DualityRow",
+    "cycle complement ratio complement_ratio residual lower_attained upper_attained",
+)):
+    """One cycle and its complement; ``residual`` is ratio + complement_ratio - 1."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    mode: str
-    tolerance: float
-    verdict: str
-    rows: tuple
+class DualityReport(namedtuple("DualityReport", "mode tolerance verdict rows")):
+    """The duality verdict over the 12 cycles on 5 points, one row each."""
+
+    __slots__ = ()
 
 
 def _sign(poly, n: int, p, q) -> int:

@@ -9,12 +9,10 @@ rendered with repr (shortest round-trip form), rationals exactly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import quadrilateral as quad_mod
@@ -51,20 +49,19 @@ def _kv(obj, *names) -> str:
 def _jsonable(x, drop=()):
     """JSON form of a report value.
 
-    A dataclass becomes a dict of its fields less those named in ``drop``
-    and those kept off its repr (the ``den`` of a value held as ints);
-    Fractions and Cycles become strings, a non-finite float becomes None
-    (``null``: JSON has no NaN or Infinity), tuples and lists become lists,
-    and the values of a dict are mapped in turn.
+    A record (a named tuple or a ``geometry.Record``) becomes a dict of its
+    ``_fields`` less those named in ``drop``; Fractions and Cycles become
+    strings, a non-finite float becomes None (``null``: JSON has no NaN or
+    Infinity), tuples and lists become lists, and the values of a dict are
+    mapped in turn.
     """
     if isinstance(x, (Fraction, Cycle)):
         return str(x)
     if isinstance(x, float) and not math.isfinite(x):
         return None
-    if dataclasses.is_dataclass(x):
-        fields = dataclasses.fields(x)
-        return {f.name: _jsonable(getattr(x, f.name))
-                for f in fields if f.repr and f.name not in drop}
+    fields = getattr(x, "_fields", None)
+    if fields is not None:
+        return {name: _jsonable(getattr(x, name)) for name in fields if name not in drop}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (tuple, list)):
@@ -86,7 +83,8 @@ def _emit(args, records, lines) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
 
@@ -121,7 +119,8 @@ def _configuration(args, n) -> Configuration:
             if args.infile == "-":
                 text = sys.stdin.read()
             else:
-                text = Path(args.infile).read_text(encoding="utf-8")
+                with open(args.infile, encoding="utf-8") as f:
+                    text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.infile}: {exc}") from None
         config = parse_points(text)

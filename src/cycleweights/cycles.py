@@ -12,27 +12,24 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .geometry import (
-    Configuration, Scalar, _gather, pair_weights, pairwise_weight, squared_distance,
+    Configuration, Record, Scalar, _gather, pair_weights, pairwise_weight, squared_distance,
 )
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Canonical vertex order of a Hamiltonian cycle.
 
     Construct via :func:`canonicalize` unless the sequence is already
     canonical; the constructor rejects anything else.
     """
 
-    order: tuple
+    _fields = ("order",)
 
-    def __post_init__(self):
-        order = tuple(int(v) for v in self.order)
-        object.__setattr__(self, "order", order)
+    def __init__(self, order):
+        order = tuple(int(v) for v in order)
         n = len(order)
         if n < 3:
             raise UsageError("a cycle needs at least 3 vertices")
@@ -42,6 +39,7 @@ class Cycle:
             raise UsageError(
                 "vertex sequence is not canonical; build it with canonicalize()"
             )
+        vars(self)["order"] = order
 
     @property
     def n(self) -> int:

@@ -32,7 +32,7 @@ rescoring every candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .bounds import spectral_interval
@@ -53,8 +53,11 @@ _H_INITIAL = 0.25
 _H_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(namedtuple(
+    "OptimizationResult",
+    "n dim objective value config cycle restarts sweeps best_restart bound within_bounds"
+    " history evals rescores acceptances halvings",
+)):
     """Outcome of one multi-start search.
 
     ``value`` is the best objective found; ``history`` lists the
@@ -68,26 +71,13 @@ class OptimizationResult:
     halved ``halvings`` times.
     """
 
-    n: int
-    dim: int
-    objective: str
-    value: float
-    config: Configuration
-    cycle: Cycle
-    restarts: int
-    sweeps: int
-    best_restart: int
-    bound: tuple
-    within_bounds: bool
-    history: tuple
-    evals: int
-    rescores: int
-    acceptances: int
-    halvings: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(namedtuple(
+    "ConjectureRow",
+    "n minimum maximum proven min_cycle min_cycle_value max_cycle max_cycle_value",
+)):
     """Min/max search outcome for one n, with consistency checks.
 
     ``min_cycle``/``max_cycle`` are the extreme cycles when *all*
@@ -96,14 +86,7 @@ class ConjectureRow:
     symmetry), never beat it by much.  ``proven`` is the spectral interval.
     """
 
-    n: int
-    minimum: OptimizationResult
-    maximum: OptimizationResult
-    proven: tuple
-    min_cycle: Cycle
-    min_cycle_value: float
-    max_cycle: Cycle
-    max_cycle_value: float
+    __slots__ = ()
 
 
 def ratio(config: Configuration, cycle: Cycle) -> float:

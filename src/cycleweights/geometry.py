@@ -19,9 +19,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .errors import DegenerateError, UsageError
 from .prng import stream_draws
@@ -30,7 +28,7 @@ FLOAT = "float"
 RATIONAL = "rational"
 MODES = (FLOAT, RATIONAL)
 
-Scalar = Union[float, Fraction]
+Scalar = float | Fraction
 Point = tuple
 
 
@@ -140,10 +138,10 @@ def exact_points(cols, den) -> tuple:
 
 
 class Exact:
-    """A dataclass field stored in the number format of :func:`columns` over the
-    instance's ``den`` and read as ``read(value, den)``, one exact weight by
-    default: a Fraction is built only for a value that is read.  Copy such an
-    instance with ``copy.copy``: ``dataclasses.replace`` stores the read values."""
+    """A :class:`Record` field held in the number format of :func:`columns` over
+    the instance's ``den`` and read as ``read(value, den)``, one exact weight by
+    default: a Fraction is built only for a value that is read.  A copy or a
+    pickle keeps the held value and ``den``, so it reads the same."""
 
     def __init__(self, read=exact_value):
         self.read = read
@@ -153,11 +151,43 @@ class Exact:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.name)  # so that the field has no default
+            return self
         return self.read(obj.__dict__[self.name], obj.den)
 
+    # a data descriptor, so that the held value in the instance __dict__ does not shadow it
     def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
+        raise AttributeError(f"cannot assign to field {self.name!r}")
+
+
+class Record:
+    """A read-only record whose fields, named in order by ``_fields``, sit in
+    the instance ``__dict__``.  Equality, hash and repr run over the fields as
+    read; a value held only to read them by, such as the ``den`` of
+    :class:`Exact` fields, is not a field.  Each subclass checks its input in
+    its own ``__init__`` and stores it with ``vars(self).update``."""
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def pair_weights(points) -> list:
@@ -193,22 +223,19 @@ def pairwise_weight(points) -> Scalar:
     return ordered_sum(pair_weights(points))
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """Ordered, immutable point set with one dimension and one scalar mode.
 
     ``dim`` is derived from the points; mixing dimensions or passing
     fewer than three points is a usage error.
     """
 
-    points: tuple
-    mode: str = FLOAT
-    dim: int = field(init=False)
+    _fields = ("points", "mode", "dim")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise UsageError(f"unknown scalar mode {self.mode!r}")
-        pts = tuple(_coerce_point(p, self.mode) for p in self.points)
+    def __init__(self, points, mode: str = FLOAT):
+        if mode not in MODES:
+            raise UsageError(f"unknown scalar mode {mode!r}")
+        pts = tuple(_coerce_point(p, mode) for p in points)
         if len(pts) < 3:
             raise UsageError("a configuration needs at least 3 points")
         dims = {len(p) for p in pts}
@@ -217,8 +244,7 @@ class Configuration:
         dim = dims.pop()
         if dim not in (2, 3):
             raise UsageError("dimension must be 2 or 3")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dim", dim)
+        vars(self).update(points=pts, mode=mode, dim=dim)
 
     @property
     def n(self) -> int:
@@ -247,7 +273,7 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
     """The configuration of :func:`random_columns` for one seed, so a seed pins
     it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
     both modes describe the identical point set."""
-    # the draws need no coercion or checks: set the fields, skip __post_init__
+    # the draws need no coercion or checks: set the fields, skip __init__
     config = object.__new__(Configuration)
     config.__dict__.update(points=exact_points(*random_columns((seed,), n, dim, mode)),
                            mode=mode, dim=dim)

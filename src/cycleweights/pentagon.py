@@ -27,20 +27,19 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .checks import relative_residual
 from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    RATIONAL, Configuration, Exact, Scalar, column_pair_weights, columns, exact_points,
+    RATIONAL, Configuration, Exact, Record, column_pair_weights, columns, exact_points,
     exact_value, ordered_sum,
 )
 from .quadrilateral import IdentityTerms, QuadLabeling, identity_terms
 
 
-@dataclass(frozen=True)
-class IterationState:
+class IterationState(Record):
     """One level: five points in D-cycle order plus both weights.
 
     ``d`` sums consecutive pairs of ``points`` (the current D-type
@@ -49,16 +48,16 @@ class IterationState:
     ``points`` (as columns), ``d`` and ``e`` are held as ``columns`` over ``den``.
     """
 
-    level: int
-    points: tuple = Exact(exact_points)
-    d: Scalar = Exact()
-    e: Scalar = Exact()
-    mode: str
-    den: object = field(default=None, repr=False, compare=False)
+    _fields = ("level", "points", "d", "e", "mode")
+    points = Exact(exact_points)
+    d = Exact()
+    e = Exact()
+
+    def __init__(self, level, points, d, e, mode, den=None):
+        vars(self).update(level=level, points=points, d=d, e=e, mode=mode, den=den)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(namedtuple("Trace", "mode states res_a res_b res_c")):
     """States of levels 1..steps+1 and the residuals of laws (A), (B), (C).
 
     ``res_a[i]`` anchors law (A) at level i+1 (4 d_{i+2} - e_{i+1} in
@@ -66,11 +65,7 @@ class Trace:
     consecutive levels so it has one entry fewer.
     """
 
-    mode: str
-    states: tuple
-    res_a: tuple
-    res_b: tuple
-    res_c: tuple
+    __slots__ = ()
 
     @property
     def levels(self) -> int:

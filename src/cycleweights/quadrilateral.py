@@ -24,7 +24,7 @@ the common denominator, and a term stays an int until it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import floordiv, itemgetter, truediv
 
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
@@ -34,7 +34,7 @@ from .geometry import (
     RATIONAL,
     Configuration,
     Exact,
-    Scalar,
+    Record,
     column_pair_weights,
     columns,
     exact,
@@ -53,32 +53,27 @@ def _columns(points, mode: str) -> tuple:
     return (cols, den) if den is None else ([[2 * x for x in c] for c in cols], 2 * den)
 
 
-@dataclass(frozen=True)
-class QuadLabeling:
-    """Four points plus a pairing choice and a scalar mode."""
+class QuadLabeling(Record):
+    """Four points plus a pairing choice and a scalar mode; ``cols`` and
+    ``den``, not fields, hold :func:`_columns` of the points."""
 
-    points: tuple
-    pairing: int = 0
-    mode: str = FLOAT
-    cols: list = field(init=False, repr=False, compare=False)  # with den: _columns(points)
-    den: object = field(init=False, repr=False, compare=False)
+    _fields = ("points", "pairing", "mode")
 
-    def __post_init__(self):
-        if self.pairing not in (0, 1, 2):
+    def __init__(self, points, pairing: int = 0, mode: str = FLOAT):
+        if pairing not in (0, 1, 2):
             raise UsageError("pairing must be 0, 1, or 2")
-        if len(self.points) != 4:
+        if len(points) != 4:
             raise UsageError("a quadrilateral labeling needs exactly 4 points")
-        points = Configuration(self.points, self.mode).points
-        cols, den = _columns(points, self.mode)
-        self.__dict__.update(points=points, cols=cols, den=den)
+        points = Configuration(points, mode).points
+        cols, den = _columns(points, mode)
+        vars(self).update(points=points, pairing=pairing, mode=mode, cols=cols, den=den)
 
     def ordered(self) -> tuple:
         """Points as (A, B, C, D) for this pairing."""
         return _ORDERS[self.pairing](self.points)
 
 
-@dataclass(frozen=True)
-class IdentityTerms:
+class IdentityTerms(Record):
     """All terms of the four-point relation for one labeling.
 
     ``l_sq`` is (l1..l6) squared weights; ``p_sq``/``q_sq`` are the
@@ -88,34 +83,32 @@ class IdentityTerms:
     held in the number format of ``columns`` over ``den`` and read exactly.
     """
 
-    pairing: int
-    l_sq: tuple = Exact(exact)
-    p_sq: Scalar = Exact()
-    q_sq: Scalar = Exact()
-    r_sq: Scalar = Exact()
-    lhs: Scalar = Exact()
-    rhs: Scalar = Exact()
-    residual: Scalar = Exact()
-    den: object = field(default=None, repr=False, compare=False)
+    _fields = ("pairing", "l_sq", "p_sq", "q_sq", "r_sq", "lhs", "rhs", "residual")
+    l_sq = Exact(exact)
+    p_sq = Exact()
+    q_sq = Exact()
+    r_sq = Exact()
+    lhs = Exact()
+    rhs = Exact()
+    residual = Exact()
+
+    def __init__(self, pairing, l_sq, p_sq, q_sq, r_sq, lhs, rhs, residual, den=None):
+        vars(self).update(pairing=pairing, l_sq=l_sq, p_sq=p_sq, q_sq=q_sq, r_sq=r_sq,
+                          lhs=lhs, rhs=rhs, residual=residual, den=den)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    verdict: str
-    terms: IdentityTerms
-    tolerance: float
-    mode: str
+class IdentityReport(namedtuple("IdentityReport", "verdict terms tolerance mode")):
+    """The verdict of one labeling's relation and the terms it was decided on."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityFuzzReport:
-    trials: int
-    dim: int
-    mode: str
-    tolerance: float
-    checks: int
-    violations: int
-    max_rel_residual: float
+class IdentityFuzzReport(namedtuple(
+    "IdentityFuzzReport", "trials dim mode tolerance checks violations max_rel_residual",
+)):
+    """The relation checked on every pairing of ``trials`` random 4-point sets."""
+
+    __slots__ = ()
 
 
 # Segment k of A, B, C, D joins points _ENDS[0][k] and _ENDS[1][k] and has
@@ -218,7 +211,7 @@ def fuzz_identity(
         config = random_config(mix64((seed + i) & MASK64), 4, dim, mode)
         cols, den = _columns(config.points, mode)
         for pairing in (0, 1, 2):
-            # the draw needs no coercion or checks: set the fields, skip __post_init__
+            # the draw needs no coercion or checks: set the fields, skip __init__
             quad = object.__new__(QuadLabeling)
             quad.__dict__.update(points=config.points, pairing=pairing, mode=mode,
                                  cols=cols, den=den)

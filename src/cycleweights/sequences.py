@@ -17,7 +17,7 @@ algorithm-independent cross-check on the recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .checks import HOLDS, VIOLATED
@@ -27,8 +27,7 @@ RATIO_LIMIT = (3 + math.sqrt(5)) / 8  # limit of a_{n+1}/a_n
 BOUND_LIMIT = (3 + math.sqrt(5)) / 2  # limit of B(n) = 3 - a_{n-1}/(4 a_n)
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(namedtuple("SequenceTable", "terms ratios bound_values")):
     """Terms a_0..a_N with consecutive ratios and bound values B(n).
 
     ``ratios[k]`` is a_{k+2}/a_{k+1} (defined from a_1 on);
@@ -36,9 +35,7 @@ class SequenceTable:
     accessors to avoid the offsets.
     """
 
-    terms: tuple
-    ratios: tuple
-    bound_values: tuple
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:
@@ -102,8 +99,10 @@ def bound_value(n: int) -> Fraction:
     return sequence_table(n).bound(n)
 
 
-@dataclass(frozen=True)
-class SequencePropertyReport:
+class SequencePropertyReport(namedtuple(
+    "SequencePropertyReport",
+    "n_checked positive_decreasing ratio_above_limit ratio_nonincreasing final_ratio_gap verdict",
+)):
     """Exact verdicts for the sequence's qualitative properties up to N.
 
     ``ratio_above_limit`` certifies a_{n+1}/a_n > (3 + sqrt(5))/8 using
@@ -113,12 +112,7 @@ class SequencePropertyReport:
     ``final_ratio_gap`` is |a_{N+1}/a_N - limit| in float, for display.
     """
 
-    n_checked: int
-    positive_decreasing: bool
-    ratio_above_limit: bool
-    ratio_nonincreasing: bool
-    final_ratio_gap: float
-    verdict: str
+    __slots__ = ()
 
 
 def check_sequence_properties(

@@ -661,3 +661,15 @@ def test_module_entry_point_exit_codes():
     usage = subprocess.run([*cmd, "verify"], capture_output=True, text=True, env=env, timeout=60)
     assert usage.returncode == 2
     assert "error:" in usage.stderr and "Traceback" not in usage.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the two cost most of a call's start-up when the package's records are dataclasses
+    paths = [str(Path(cycleweights.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = ("import sys, cycleweights.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
