@@ -3,8 +3,9 @@
 A cycle visits every vertex exactly once; vertices are configuration indices.  Cycles
 are stored in a canonical form so each of the (n-1)!/2 distinct cycles has exactly one
 representation: the sequence starts at vertex 0 and its second entry is smaller than its
-last (fixing the traversal direction).  A walk over them weighs every cycle
-(:func:`cycle_weights`); a pruned one finds just the extremes (:func:`cycle_extremes`).
+last (fixing the traversal direction).  One gather per edge position weighs every cycle
+of one configuration or of many (:func:`cycle_sums`); a pruned depth-first walk finds
+just the extremes (:func:`cycle_extremes`).
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ def cycle_edges(n: int) -> tuple:
     edges in traversal order, so summing those pair weights in list
     order gives exactly ``cycle_weight``.  Built from the vertex sequences,
     so no Cycle is made.  :func:`cycle_sums` gathers them one edge position
-    at a time for many configurations at one n; for a single configuration
-    :func:`cycle_weights` is faster.
+    at a time, for one configuration or for many at one n.
     """
     pair_index = {}
     for k, (a, b) in enumerate(itertools.combinations(range(n), 2)):
@@ -136,8 +136,14 @@ def cycle_sums(w, n: int, batch: int = 1) -> list:
     return acc
 
 
-def _pair_matrix(points) -> tuple:
-    """n, the n x n matrix of pair weights and the pair weights themselves."""
+def cycle_extremes(points) -> tuple:
+    """``(min(s), max(s))`` of ``s = cycle_sums(pair_weights(points), n)``, equal by ``==``
+    and by type, with no list.  A depth-first walk over the canonical sequences 0, o1, ...,
+    o(n-1) with o1 < o(n-1) carries each prefix's left-to-right sum down the walk, the
+    additions ``cycle_weight`` makes, and skips a subtree whose running sum plus the least
+    (greatest) pair weight per remaining edge can move neither end.  Rounded addition is
+    monotone, so that needs no margin in floats.  Random points skip almost nothing and run
+    slower than ``cycle_sums``, so the fuzz screen and ``extremal`` do not use it."""
     n = len(points)
     if not 3 <= n <= 10:
         raise UsageError("cycle enumeration supports 3 <= n <= 10")
@@ -145,54 +151,6 @@ def _pair_matrix(points) -> tuple:
     w = [[0] * n for _ in range(n)]
     for (i, j), x in zip(itertools.combinations(range(n), 2), pairs):
         w[i][j] = w[j][i] = x
-    return n, w, pairs
-
-
-def cycle_weights(points) -> list:
-    """Weight of every cycle of ``enumerate_cycles(n)``, in that order.
-
-    A depth-first walk over the canonical sequences 0, o1, ..., o(n-1)
-    with o1 < o(n-1), in lexicographic order, carrying the running
-    left-to-right sum down the walk: each prefix sum is computed once,
-    not once per cycle, and no Cycle is built.  Every entry equals
-    ``cycle_weight`` bit for bit: both add the same pair weights left to
-    right in traversal order, and d*d does not depend on the sign of d.
-    This is the path for one configuration; many configurations at one n
-    share the gathers of :func:`cycle_sums`.
-    """
-    n, w, _ = _pair_matrix(points)
-    out = []
-    append = out.append
-
-    def walk(first, last, rest, total):
-        if len(rest) == 2:
-            # the two orders of the last two vertices, in lexicographic order;
-            # canonical when the second vertex is below the last one
-            a, b = rest
-            if first < b:
-                append(total + w[last][a] + w[a][b] + w[b][0])
-            if first < a:
-                append(total + w[last][b] + w[b][a] + w[a][0])
-            return
-        row = w[last]
-        for k, v in enumerate(rest):
-            walk(first, v, rest[:k] + rest[k + 1:], total + row[v])
-
-    if n == 3:
-        return [w[0][1] + w[1][2] + w[2][0]]
-    # the second vertex n - 1 would have to be below the last one
-    for first in range(1, n - 1):
-        walk(first, first, tuple(v for v in range(1, n) if v != first), w[0][first])
-    return out
-
-
-def cycle_extremes(points) -> tuple:
-    """``(min(cycle_weights(points)), max(cycle_weights(points)))``, equal by ``==`` and by
-    type, from the same walk and sums with no list, skipping a subtree whose running sum plus
-    the least (greatest) pair weight per remaining edge can move neither end.  Rounded addition
-    is monotone, so that needs no margin in floats.  Random points skip almost nothing and run
-    slower than the plain walk, so the fuzz screen and ``extremal`` do not use it."""
-    n, w, pairs = _pair_matrix(points)
     lo_pair, hi_pair = min(pairs), max(pairs)
     # the walk's first cycle, 0, 1, ..., n - 1, seeds both ends
     lo = hi = functools.reduce(operator.add, (w[k][k + 1] for k in range(n - 1))) + w[n - 1][0]

@@ -37,12 +37,12 @@ from operator import itemgetter
 
 from .bounds import spectral_interval
 from .cycles import (
-    Cycle, canonicalize, cycle_edges, cycle_weight, cycle_weights, enumerate_cycles,
-    total_weight,
+    Cycle, canonicalize, cycle_edges, cycle_sums, cycle_weight, enumerate_cycles, total_weight,
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, column_pair_weights, normalized_points, ordered_sum, random_config,
+    Configuration, FLOAT, column_pair_weights, normalized_points, ordered_sum, pair_weights,
+    random_config,
 )
 from .prng import MASK64, mix64
 
@@ -228,8 +228,9 @@ def conjecture_table(
 
 
 def _extreme_cycle(config: Configuration, minimize: bool):
-    w_k = total_weight(config)
-    ratios = [w_e / w_k for w_e in cycle_weights(config.points)]
+    w = pair_weights(config.points)
+    w_k = ordered_sum(w)
+    ratios = [w_e / w_k for w_e in cycle_sums(w, config.n)]
     # min and max keep the first of equal extremes, as a strict < or > would
     k = (min if minimize else max)(range(len(ratios)), key=ratios.__getitem__)
     return enumerate_cycles(config.n)[k], ratios[k]

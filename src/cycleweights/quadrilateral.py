@@ -24,11 +24,12 @@ the common denominator, and a term stays an int until it is read.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from operator import floordiv, itemgetter, truediv
 
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
-from .errors import UsageError
+from .errors import DegenerateError, UsageError
 from .geometry import (
     FLOAT,
     RATIONAL,
@@ -177,8 +178,9 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
 def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> IdentityReport:
     """Check the relation for one labeling.
 
-    Float mode holds when |residual| <= tolerance * (1 + |lhs| + |rhs|);
-    rational mode demands an exact zero.
+    Float mode holds when |residual| <= tolerance * (1 + |lhs| + |rhs|), and
+    an lhs or rhs that overflows is degenerate; rational mode demands an
+    exact zero.
     """
     if not tolerance > 0:
         raise UsageError("tolerance must be positive")
@@ -186,6 +188,8 @@ def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> I
     if quad.mode == RATIONAL:
         ok = vars(t)["residual"] == 0  # the int as held: no Fraction is built
     else:
+        if not (math.isfinite(t.lhs) and math.isfinite(t.rhs)):
+            raise DegenerateError("squared distances overflow; the relation has no finite sides")
         ok = abs(t.residual) <= tolerance * (1 + abs(t.lhs) + abs(t.rhs))
     return IdentityReport(HOLDS if ok else VIOLATED, t, tolerance, quad.mode)
 

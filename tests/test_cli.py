@@ -208,6 +208,18 @@ def test_identity_usage_errors(capsys, tmp_path):
     assert invoke(capsys, "identity", "--in", str(path))[0] == 2  # needs 4 points
 
 
+@pytest.mark.parametrize("big", ["1e200", "1e154"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_overflowing_quadrilateral_file_is_degenerate(capsys, tmp_path, json_flag, big):
+    # at 1e154 some l_sq are finite, but both sides of the relation overflow
+    path = tmp_path / "huge4.txt"
+    path.write_text(f"points 4 dim 2 mode float\n{big} 0\n0 {big}\n0 0\n{big} {big}\n")
+    code, out, err = invoke(capsys, "identity", "--in", str(path), *json_flag)
+    assert code == 3 and out == ""
+    assert "degenerate input:" in err and "Traceback" not in err
+    assert invoke(capsys, "verify", "--in", str(path), *json_flag)[0] == 3
+
+
 def test_iterate_polygon_csv(capsys):
     code, out, _ = invoke(capsys, "iterate", "--polygon", "--steps", "4")
     assert code == 0

@@ -16,7 +16,6 @@ from cycleweights.cycles import (
     cycle_extremes,
     cycle_sums,
     cycle_weight,
-    cycle_weights,
     enumerate_cycles,
     total_weight,
 )
@@ -186,27 +185,6 @@ def test_cycle_sums_match_cycle_weight_bit_for_bit(n, mode):
         assert list(map(repr, got)) == list(map(repr, expected))
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=3, max_value=8),
-    st.sampled_from([FLOAT, RATIONAL]),
-    st.integers(min_value=2, max_value=3),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_cycle_weights_walk_matches_cycle_weight_bit_for_bit(n, mode, dim, seed):
-    config = random_config(seed, n, dim, mode)
-    expected = [cycle_weight(config, cycle) for cycle in enumerate_cycles(n)]
-    # repr tells float bits apart where == would not (-0.0, nan)
-    assert list(map(repr, cycle_weights(config.points))) == list(map(repr, expected))
-
-
-def test_cycle_weights_range():
-    with pytest.raises(UsageError):
-        cycle_weights(((0.0, 0.0),) * 2)
-    with pytest.raises(UsageError):
-        cycle_weights(tuple((float(k), 0.0) for k in range(11)))
-
-
 def test_complement_cycle_example_and_involution():
     pentagon = canonicalize(range(5))
     pentagram = complement_cycle(pentagon)
@@ -257,8 +235,8 @@ def test_batched_weights_are_the_single_ones_end_to_end(n, mode, dim, seeds):
     assert all(type(x) is (int if mode == RATIONAL else float) for x in sums)
 
 
-def _assert_extremes_are_the_walk_ends(points):
-    weights = cycle_weights(points)
+def _assert_extremes_match_cycle_sums(points):
+    weights = cycle_sums(pair_weights(points), len(points))
     expected = (min(weights), max(weights))
     got = cycle_extremes(points)
     assert got == expected
@@ -271,7 +249,7 @@ def _assert_extremes_are_the_walk_ends(points):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_cycle_extremes_on_regular_polygons(n, radius):
     # many cycles share the extreme weights here, so most of the walk is skipped
-    _assert_extremes_are_the_walk_ends(regular_polygon(n, radius).points)
+    _assert_extremes_match_cycle_sums(regular_polygon(n, radius).points)
 
 
 def _configurations(n_values, coordinates):
@@ -287,13 +265,13 @@ FRACTIONS = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 @settings(max_examples=60, deadline=None)
 @given(_configurations(range(3, 9), FLOATS))
 def test_cycle_extremes_on_float_configurations(points):
-    _assert_extremes_are_the_walk_ends(Configuration(tuple(points)).points)
+    _assert_extremes_match_cycle_sums(Configuration(tuple(points)).points)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_configurations(range(3, 9), FRACTIONS))
 def test_cycle_extremes_on_rational_configurations(points):
-    _assert_extremes_are_the_walk_ends(Configuration(tuple(points), RATIONAL).points)
+    _assert_extremes_match_cycle_sums(Configuration(tuple(points), RATIONAL).points)
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,17 +279,17 @@ def test_cycle_extremes_on_rational_configurations(points):
        st.sampled_from([FLOAT, RATIONAL]))
 def test_cycle_extremes_on_grid_configurations(points, mode):
     # a 3 x 3 grid gives many equal cycle weights, and coincident points zero weights
-    _assert_extremes_are_the_walk_ends(Configuration(tuple(points), mode).points)
+    _assert_extremes_match_cycle_sums(Configuration(tuple(points), mode).points)
 
 
 @pytest.mark.parametrize("n, mode", [(9, FLOAT), (9, RATIONAL), (10, FLOAT)])
 def test_cycle_extremes_on_large_configurations(n, mode):
     # Fraction sums over every cycle take seconds here: rational mode runs the n = 9 grid only
     grid = tuple((k % 3, k // 3 % 2) for k in range(n))
-    _assert_extremes_are_the_walk_ends(Configuration(grid, mode).points)
+    _assert_extremes_match_cycle_sums(Configuration(grid, mode).points)
     if mode == FLOAT:
         for seed in range(2):
-            _assert_extremes_are_the_walk_ends(random_config(seed, n, 2).points)
+            _assert_extremes_match_cycle_sums(random_config(seed, n, 2).points)
 
 
 def test_cycle_extremes_range():
@@ -319,3 +297,7 @@ def test_cycle_extremes_range():
         cycle_extremes(((0.0, 0.0),) * 2)
     with pytest.raises(UsageError):
         cycle_extremes(tuple((float(k), 0.0) for k in range(11)))
+    with pytest.raises(UsageError):
+        cycle_sums(pair_weights(((0.0, 0.0),) * 2), 2)
+    with pytest.raises(UsageError):
+        cycle_sums(pair_weights(tuple((float(k), 0.0) for k in range(11))), 11)

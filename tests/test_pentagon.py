@@ -34,7 +34,7 @@ def test_init_state_regular_pentagon():
     assert s.points == tuple(PENTAGON.points[v] for v in (0, 2, 4, 1, 3))
 
 
-def test_init_state_matches_cycle_weights():
+def test_init_state_matches_cycle_weight_and_complement_weight():
     config = random_config(23, 5, 2)
     cy = canonicalize((0, 2, 1, 4, 3))
     s = init_state(config, cy)

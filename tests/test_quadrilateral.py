@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cycleweights import quadrilateral
 from cycleweights.checks import HOLDS, VIOLATED, relative_residual
-from cycleweights.errors import UsageError
+from cycleweights.errors import DegenerateError, UsageError
 from cycleweights.geometry import FLOAT, RATIONAL, midpoint, squared_distance
 from cycleweights.quadrilateral import (
     IdentityTerms,
@@ -145,6 +145,15 @@ def test_verify_identity_tolerance_validation():
         verify_identity(q, 0.0)
     with pytest.raises(UsageError):
         verify_identity(q, -1e-9)
+
+
+@pytest.mark.parametrize("big", [1e200, 1e154])
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+def test_verify_identity_refuses_overflowing_float_terms(big, pairing):
+    # every l_sq overflows at 1e200; at 1e154 some are finite, but lhs and rhs are not
+    q = QuadLabeling(((big, 0.0), (0.0, big), (0.0, 0.0), (big, big)), pairing, FLOAT)
+    with pytest.raises(DegenerateError):
+        verify_identity(q)
 
 
 def test_quad_labeling_validation():

@@ -9,23 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from cycleweights import (
-    Configuration,
-    QuadLabeling,
-    canonicalize,
-    check_bounds,
-    check_sequence_properties,
-    conjecture_table,
-    duality_check,
-    fuzz_identity,
-    identity_terms,
-    init_state,
-    optimize,
-    sequence_table,
-    trace,
-    verify_identity,
+from cycleweights.bounds import check_bounds, duality_check
+from cycleweights.cycles import canonicalize
+from cycleweights.extremal import conjecture_table, optimize
+from cycleweights.geometry import RATIONAL, Configuration
+from cycleweights.pentagon import init_state, trace
+from cycleweights.quadrilateral import (
+    QuadLabeling, fuzz_identity, identity_terms, verify_identity,
 )
-from cycleweights.geometry import RATIONAL
+from cycleweights.sequences import check_sequence_properties, sequence_table
 
 P4 = ((0, 0), (2, 0), (3, 2), (1, 3))
 P5 = (*P4, (-1, 1))
