@@ -41,8 +41,10 @@ from .cycles import complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
     Configuration, FLOAT, RATIONAL, column_pair_weights, columns, exact, ordered_sum,
-    random_columns, random_config,
+    random_columns,
 )
+# not called here: the benchmark's tracer hooks this name on this module
+from .geometry import random_config  # noqa: F401
 from .prng import MASK64, mix64
 
 
@@ -197,28 +199,24 @@ def _screen(spec, r_min, r_max, w_es, w_k, tolerance: float, mode: str) -> tuple
     return r_min, r_max, HOLDS if clear else None
 
 
-def _check_rows(configs, tolerance: float, keep_all: bool, first_id: int = 0):
-    """Classify every cycle of each configuration, as a stream.
+def _check_rows(n: int, mode: str, weighed, tolerance: float, keep_all: bool):
+    """Classify every cycle of a stream of weighed configurations of n points.
 
-    Each configuration becomes one pair-weight vector (ints times den**2
-    in rational mode, see ``geometry.columns``), and its cycle weights come
-    from ``cycle_sums``.  If w(K_n) is 0 or not finite, every row is
-    degenerate.  ``_screen`` gives the ratio extremes, and counts the rows of
-    a configuration it settles unless ``keep_all``; the others are classified
-    row by row.  A CycleRow is built only for rows that are reported: all of
-    them when ``keep_all``, otherwise the violated and degenerate ones.
-    Config ids count from ``first_id``.  ``_spectrum`` refuses an n outside 3..10.
+    ``weighed`` yields ``(config_id, w_es, w_k, den)``: a configuration's cycle
+    weights in ``cycle_sums`` order and w(K_n), floats (den None) or ints over
+    den**2 (``geometry.columns``) that ``exact`` and ``Fraction`` reduce, so any
+    common den gives the same rows.  If w(K_n) is 0 or not finite, every row is
+    degenerate.  ``_screen`` gives the ratio extremes, and counts the rows of a
+    configuration it settles unless ``keep_all``; the others are classified row
+    by row.  Only reported rows become CycleRows: all when ``keep_all``, else
+    the violated and degenerate ones.  ``_spectrum`` refuses an n outside 3..10
+    before ``weighed`` is read.
     """
+    spec = _spectrum(n)
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
     r_min = r_max = None
     kept = []
-    for config_id, config in enumerate(configs, first_id):
-        n, mode = config.n, config.mode
-        spec = _spectrum(n)
-        cols, den = columns(config.points, mode)
-        w = column_pair_weights(cols)
-        w_k = ordered_sum(w)
-        w_es = cycle_sums(w, n)
+    for config_id, w_es, w_k, den in weighed:
         has_ratio = 0 < w_k < math.inf
         r_min, r_max, verdict = _screen(spec, r_min, r_max, w_es, w_k, tolerance, mode)
         if verdict is not None and not keep_all:
@@ -252,7 +250,11 @@ def _require_tolerance(tolerance):
 def check_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
     """Check every cycle of one configuration against the spectral interval."""
     _require_tolerance(tolerance)
-    return _aggregate(config.n, config.mode, tolerance, 1, *_check_rows((config,), tolerance, True))
+    n, mode = config.n, config.mode
+    cols, den = columns(config.points, mode)
+    w = column_pair_weights(cols)
+    weighed = ((0, cycle_sums(w, n), ordered_sum(w), den),)
+    return _aggregate(n, mode, tolerance, 1, *_check_rows(n, mode, weighed, tolerance, True))
 
 
 def check_k4_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> BoundReport:
@@ -283,7 +285,7 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
     w = column_pair_weights(columns(config.points, config.mode)[0])
     w_k = ordered_sum(w)
     if not 0 < w_k < math.inf:
-        raise DegenerateError("all points coincide, or the total weight overflows; no ratio")
+        raise DegenerateError("the total weight is zero or not finite")
     ends = spectral_interval(5)
     cycles = enumerate_cycles(5)
     w_es = cycle_sums(w, 5)
@@ -327,32 +329,26 @@ def fuzz(
     mix64(seed + i); any trial can be replayed alone with that seed.
     The report keeps only violated/degenerate rows.  An unsupported n,
     dim or mode raises UsageError before any trial is drawn.  A chunk of
-    trials is drawn, weighed and screened one stage at a time, with the bits
-    of ``_check_rows``; a trial it does not settle is replayed alone there.
+    trials is drawn and weighed one stage at a time; ``_check_rows`` classifies
+    each trial from its chunk's weights, into the rows ``check_bounds`` gives it.
     """
     _require_tolerance(tolerance)
     if trials < 1:
         raise UsageError("trials must be at least 1")
     random_columns((), n, dim, mode)  # random_config's checks, on no draws
-    spec, pairs, cycles = _spectrum(n), n * (n - 1) // 2, math.factorial(n - 1) // 2
-    chunk = max(1, _SCREEN_SUMS // cycles)
-    counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
-    r_min = r_max = None
-    kept = []
-    for start in range(0, trials, chunk):
-        seeds = [mix64((seed + i) & MASK64) for i in range(start, min(start + chunk, trials))]
-        w = column_pair_weights(random_columns(seeds, n, dim, mode)[0], len(seeds))
-        w_ks = [ordered_sum(w[k:k + pairs]) for k in range(0, len(w), pairs)]
-        es = cycle_sums(w, n, len(seeds))
-        parts = [es[k:k + cycles] for k in range(0, len(es), cycles)]
-        for i, (trial_seed, w_k, w_es) in enumerate(zip(seeds, w_ks, parts), start):
-            r_min, r_max, verdict = _screen(spec, r_min, r_max, w_es, w_k, tolerance, mode)
-            if verdict is not None:
-                counts[verdict] += cycles
-                continue
-            config = random_config(trial_seed, n, dim, mode)
-            rows, replayed, _, _ = _check_rows((config,), tolerance, False, i)
-            kept += rows
-            for verdict, count in replayed.items():
-                counts[verdict] += count
-    return _aggregate(n, mode, tolerance, trials, kept, counts, r_min, r_max)
+
+    def weighed():
+        # first run after _check_rows has refused an n over 10: the factorial stays small
+        pairs, cycles = n * (n - 1) // 2, math.factorial(n - 1) // 2
+        chunk = max(1, _SCREEN_SUMS // cycles)
+        for start in range(0, trials, chunk):
+            seeds = [mix64((seed + i) & MASK64) for i in range(start, min(start + chunk, trials))]
+            cols, den = random_columns(seeds, n, dim, mode)
+            w = column_pair_weights(cols, len(seeds))
+            es = cycle_sums(w, n, len(seeds))
+            for k in range(len(seeds)):
+                w_k = ordered_sum(w[k * pairs:(k + 1) * pairs])
+                yield start + k, es[k * cycles:(k + 1) * cycles], w_k, den
+
+    rows = _check_rows(n, mode, weighed(), tolerance, False)
+    return _aggregate(n, mode, tolerance, trials, *rows)

@@ -17,14 +17,14 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import quadrilateral as quad_mod
 from .checks import HOLDS, REL_TOL_DERIVED, REL_TOL_DIRECT, VIOLATED
-from .cycles import Cycle, canonicalize, cycle_extremes, total_weight
+from .cycles import Cycle, canonicalize, cycle_extremes
 # not called here: the benchmark's tracer hooks these two names on this module
 from .cycles import cycle_weight, enumerate_cycles  # noqa: F401
 from .errors import DegenerateError, UsageError
 from .extremal import MAXIMIZE, MINIMIZE, conjecture_table, optimize
 from .geometry import (
-    FLOAT, MODES, RATIONAL, Configuration, format_points, parse_points, random_config,
-    regular_polygon,
+    FLOAT, MODES, RATIONAL, Configuration, format_points, ordered_sum, pair_weights,
+    parse_points, random_config, regular_polygon,
 )
 from .pentagon import trace
 from .prng import MASK64
@@ -183,8 +183,8 @@ def _cmd_gen(args) -> int:
 
 
 def _trial_count(args) -> int:
-    """--fuzz may carry the count inline or defer to --trials."""
-    if args.fuzz == -1:
+    """The typed --fuzz count; a bare --fuzz holds its const, Ellipsis, and defers to --trials."""
+    if args.fuzz is ...:
         return args.trials
     _refuse(args, f"--fuzz {args.fuzz}", "trials")
     return args.fuzz
@@ -436,10 +436,11 @@ def _cmd_pentagon(args) -> int:
     out_of_range = f"squared distances under- or overflow at radius {args.radius!r}"
     # division by w_k > 0 is monotone, so dividing the extreme weights
     # gives the same bits as taking the extremes of the ratios
-    w_k = total_weight(config)
+    w = pair_weights(config.points)
+    w_k = ordered_sum(w)
     if not 0 < w_k < math.inf:
         raise DegenerateError(out_of_range)
-    lightest, heaviest = cycle_extremes(config.points)
+    lightest, heaviest = cycle_extremes(w, args.n)
     count, lo, hi = math.factorial(args.n - 1) // 2, lightest / w_k, heaviest / w_k
     # per-cycle rows for n = 4 and 5 only: n = 10 has 181,440 cycles
     report = bounds_mod.check_bounds(config, REL_TOL_DERIVED) if args.n in (4, 5) else None
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check cycle weights against the spectral interval")
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--fuzz", type=int, nargs="?", const=-1, default=None, metavar="TRIALS")
+    p.add_argument("--fuzz", type=int, nargs="?", const=..., default=None, metavar="TRIALS")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, choices=(2, 3), default=None)
@@ -512,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="check the four-point midpoint relation")
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--fuzz", type=int, nargs="?", const=-1, default=None, metavar="TRIALS")
+    p.add_argument("--fuzz", type=int, nargs="?", const=..., default=None, metavar="TRIALS")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--pairing", choices=("0", "1", "2", "all"), default="all")

@@ -15,7 +15,7 @@ import itertools
 import operator
 
 from .geometry import (
-    Configuration, Record, Scalar, _gather, pair_weights, pairwise_weight, squared_distance,
+    Configuration, Record, Scalar, _gather, pairwise_weight, squared_distance,
 )
 from .errors import UsageError
 
@@ -136,24 +136,22 @@ def cycle_sums(w, n: int, batch: int = 1) -> list:
     return acc
 
 
-def cycle_extremes(points) -> tuple:
-    """``(min(s), max(s))`` of ``s = cycle_sums(pair_weights(points), n)``, equal by ``==``
-    and by type, with no list.  A depth-first walk over the canonical sequences 0, o1, ...,
-    o(n-1) with o1 < o(n-1) carries each prefix's left-to-right sum down the walk, the
-    additions ``cycle_weight`` makes, and skips a subtree whose running sum plus the least
-    (greatest) pair weight per remaining edge can move neither end.  Rounded addition is
-    monotone, so that needs no margin in floats.  Random points skip almost nothing and run
-    slower than ``cycle_sums``, so the fuzz screen and ``extremal`` do not use it."""
-    n = len(points)
+def cycle_extremes(w, n: int) -> tuple:
+    """``(min(s), max(s))`` of ``s = cycle_sums(w, n)``, equal by ``==`` and by type, with
+    no list.  A depth-first walk over the canonical sequences 0, o1, ..., o(n-1) with
+    o1 < o(n-1) carries each prefix's left-to-right sum of ``w`` down the walk, the additions
+    ``cycle_weight`` makes, and skips a subtree whose running sum plus the least (greatest)
+    pair weight per remaining edge can move neither end.  Rounded addition is monotone, so
+    that needs no margin in floats.  Random points skip almost nothing and run slower than
+    ``cycle_sums``, so the fuzz screen and ``extremal`` do not use it."""
     if not 3 <= n <= 10:
         raise UsageError("cycle enumeration supports 3 <= n <= 10")
-    pairs = pair_weights(points)
-    w = [[0] * n for _ in range(n)]
-    for (i, j), x in zip(itertools.combinations(range(n), 2), pairs):
-        w[i][j] = w[j][i] = x
-    lo_pair, hi_pair = min(pairs), max(pairs)
+    m = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(itertools.combinations(range(n), 2), w):
+        m[i][j] = m[j][i] = x
+    lo_pair, hi_pair = min(w), max(w)
     # the walk's first cycle, 0, 1, ..., n - 1, seeds both ends
-    lo = hi = functools.reduce(operator.add, (w[k][k + 1] for k in range(n - 1))) + w[n - 1][0]
+    lo = hi = functools.reduce(operator.add, (m[k][k + 1] for k in range(n - 1))) + m[n - 1][0]
 
     def walk(first, last, rest, total):
         nonlocal lo, hi
@@ -166,14 +164,14 @@ def cycle_extremes(points) -> tuple:
         if len(rest) == 2:
             for a, b in (rest, rest[::-1]):
                 if first < b:
-                    s = total + w[last][a] + w[a][b] + w[b][0]
+                    s = total + m[last][a] + m[a][b] + m[b][0]
                     lo, hi = min(lo, s), max(hi, s)  # a tie keeps the earlier cycle
             return
         for k, v in enumerate(rest):
-            walk(first, v, rest[:k] + rest[k + 1:], total + w[last][v])
+            walk(first, v, rest[:k] + rest[k + 1:], total + m[last][v])
 
     for first in range(1, n - 1):
-        walk(first, first, tuple(v for v in range(1, n) if v != first), w[0][first])
+        walk(first, first, tuple(v for v in range(1, n) if v != first), m[0][first])
     return lo, hi
 
 

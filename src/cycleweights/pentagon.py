@@ -117,7 +117,7 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
     w = column_pair_weights(cols)
     w_k = ordered_sum(w)
     if not 0 < w_k < math.inf:
-        raise DegenerateError("all points coincide, or the total weight overflows")
+        raise DegenerateError("the total weight is zero or not finite")
     # E summed along its traversal, as cycle_weight sums it; D is the rest of K_5
     e = cycle_sums(w, 5)[enumerate_cycles(5).index(e_cycle)]
     order = operator.itemgetter(*complement_cycle(e_cycle).order)

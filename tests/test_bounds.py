@@ -28,15 +28,19 @@ from cycleweights.checks import (
     VIOLATED,
 )
 from cycleweights.cycles import (
-    canonicalize, complement_cycle, cycle_edges, cycle_weight, enumerate_cycles, total_weight,
+    canonicalize, complement_cycle, cycle_edges, cycle_sums, cycle_weight, enumerate_cycles,
+    total_weight,
 )
 from cycleweights.errors import DegenerateError, UsageError
 from cycleweights.geometry import (
     Configuration,
     FLOAT,
     RATIONAL,
+    column_pair_weights,
+    columns,
     ordered_sum,
     pair_weights,
+    random_columns,
     random_config,
     regular_polygon,
 )
@@ -413,11 +417,25 @@ def test_single_checks_match_the_fraction_loops(config, tolerance):
                for v in (r.w_cycle, r.w_complement, r.w_total))
 
 
+def _check_configs(configs, tolerance, keep_all):
+    """``_check_rows`` on configurations of one n and mode, each weighed as
+    ``check_bounds`` weighs it: ``columns``, then ``column_pair_weights``."""
+    n, mode = configs[0].n, configs[0].mode
+
+    def weighed():
+        for config_id, config in enumerate(configs):
+            cols, den = columns(config.points, mode)
+            w = column_pair_weights(cols)
+            yield config_id, cycle_sums(w, n), ordered_sum(w), den
+
+    return _check_rows(n, mode, weighed(), tolerance, keep_all)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_config_lists(RATIONAL, 6), st.booleans())
 def test_streamed_rows_match_the_fraction_loops(configs, keep_all):
     # several configurations: the extremes are compared across them
-    assert repr(_check_rows(configs, 1e-9, keep_all)) == repr(
+    assert repr(_check_configs(configs, 1e-9, keep_all)) == repr(
         _reference_rows(configs, 1e-9, keep_all)
     )
 
@@ -425,7 +443,7 @@ def test_streamed_rows_match_the_fraction_loops(configs, keep_all):
 @settings(max_examples=100, deadline=None)
 @given(_config_lists(FLOAT, 6), st.booleans())
 def test_float_rows_keep_their_bits(configs, keep_all):
-    assert repr(_check_rows(configs, 1e-9, keep_all)) == repr(
+    assert repr(_check_configs(configs, 1e-9, keep_all)) == repr(
         _reference_rows(configs, 1e-9, keep_all)
     )
 
@@ -458,7 +476,7 @@ def test_overflowing_float_weights_are_degenerate():
 
 
 def _row_by_row(configs, tolerance):
-    """``_check_rows(configs, tolerance, False)`` as one ``classify`` call per
+    """``_check_configs(configs, tolerance, False)`` as one ``classify`` call per
     cycle on ``cycle_weight`` and ``total_weight``, with no screen."""
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
     lo = hi = None
@@ -518,7 +536,7 @@ TOLERANCES = st.one_of(st.sampled_from((1e-12, 1e-9, 1e-6, 0.05, 0.3)), st.float
 def test_screened_rows_match_the_row_loop(n, mode, tolerance, data):
     configs = data.draw(st.lists(st.one_of(_near_an_end(n, mode), _fuzzed(n, mode)),
                                  min_size=1, max_size=6 if n < 7 else 2))
-    assert repr(_check_rows(configs, tolerance, False)) == repr(_row_by_row(configs, tolerance))
+    assert repr(_check_configs(configs, tolerance, False)) == repr(_row_by_row(configs, tolerance))
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,7 +558,7 @@ ROUNDING_SLIVERS = [(13, 0.0512734553477091), (59, 0.05027550307370431),
 @pytest.mark.parametrize("index, tolerance", ROUNDING_SLIVERS)
 def test_screen_keeps_the_even_n_degenerate_test(index, tolerance):
     configs = [random_config(mix64(index), 6, 2, FLOAT)]
-    kept, counts, _, _ = _check_rows(configs, tolerance, False)
+    kept, counts, _, _ = _check_configs(configs, tolerance, False)
     assert counts[DEGENERATE] >= 1
     assert repr((kept, counts)) == repr(_row_by_row(configs, tolerance)[:2])
 
@@ -561,7 +579,7 @@ def test_screen_leaves_a_row_within_tolerance_of_one_end(n, end):
         if 2 * near < far:
             break
     tolerance = (near + far) / 2
-    kept, counts, _, _ = _check_rows([config], tolerance, False)
+    kept, counts, _, _ = _check_configs([config], tolerance, False)
     assert counts[HOLDS_WITH_EQUALITY] + counts[DEGENERATE] >= 1
     assert repr((kept, counts)) == repr(_row_by_row([config], tolerance)[:2])
 
@@ -581,7 +599,7 @@ def test_rows_are_classified_only_where_the_screen_does_not_settle(mode, monkeyp
     calls.clear()
     square = Configuration(UNIT_SQUARE.points, mode)
     configs = [random_config(1, 4, 2, mode), square, random_config(2, 4, 2, mode), square]
-    kept, counts, _, _ = _check_rows(configs, 1e-9, False)
+    kept, counts, _, _ = _check_configs(configs, 1e-9, False)
     assert len(calls) == 6 and kept == []
     assert counts == {HOLDS: 10, HOLDS_WITH_EQUALITY: 2, VIOLATED: 0, DEGENERATE: 0}
 
@@ -619,13 +637,57 @@ def test_duality_rows_match_the_cycle_weight_ratios(config):
 @given(st.integers(0, 2**64 - 1), st.sampled_from((2, 3)), TOLERANCES, st.data())
 def test_chunked_fuzz_matches_the_trial_by_trial_reference(n, mode, seed, dim, tolerance, data):
     # trial counts about the chunk size, so the last chunk is short, full or
-    # one trial long; the tolerances leave some trials to be replayed
+    # one trial long; the tolerances leave some trials unsettled by the screen
     chunk = max(1, bounds._SCREEN_SUMS // len(enumerate_cycles(n)))
     trials = data.draw(st.sampled_from((chunk - 1, chunk, chunk + 1, 2 * chunk + 1)))
     assume(trials > 0)
     configs = [random_config(mix64((seed + i) % 2**64), n, dim, mode) for i in range(trials)]
     expected = _aggregate(n, mode, tolerance, trials, *_row_by_row(configs, tolerance))
     assert repr(fuzz(seed, trials, n, dim, tolerance, mode)) == repr(expected)
+
+
+def test_fuzz_classifies_unsettled_trials_from_the_chunk_weights(monkeypatch):
+    # 62 of these 200 trials are not settled by the screen; none is drawn again
+    configs = [random_config(mix64(5 + i), 5, 2) for i in range(200)]
+    expected = _aggregate(5, FLOAT, 0.05, 200, *_row_by_row(configs, 0.05))
+
+    kernel_calls, unsettled = [], []
+    kernel, screen = bounds.column_pair_weights, bounds._screen
+
+    def refuse(*args):
+        raise AssertionError("fuzz draws no configuration alone")
+
+    def counted_screen(*args):
+        r_min, r_max, verdict = screen(*args)
+        unsettled.append(verdict is None)
+        return r_min, r_max, verdict
+
+    monkeypatch.setattr(bounds, "random_config", refuse)
+    monkeypatch.setattr(bounds, "column_pair_weights",
+                        lambda *a: kernel_calls.append(a) or kernel(*a))
+    monkeypatch.setattr(bounds, "_screen", counted_screen)
+    report = fuzz(5, 200, 5, tolerance=0.05)
+    assert sum(unsettled) == 62
+    assert len(kernel_calls) == 3  # one per 85-trial chunk
+    assert repr(report) == repr(expected)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_rational_rows_over_the_draws_den_match_a_single_check(n):
+    # a chunk weighs rational draws as ints over 2**53; at n = 3 and 4 seeds 51
+    # and 218 draw coordinates whose lcm den, the one columns takes, is smaller
+    dens = set()
+    for seed, dim in [(0, 2), (1, 3), (51, 2), (218, 2), (218, 3)]:
+        cols, den = random_columns((seed,), n, dim, RATIONAL)
+        w = column_pair_weights(cols)
+        weighed = ((0, cycle_sums(w, n), ordered_sum(w), den),)
+        config = random_config(seed, n, dim, RATIONAL)
+        dens.add(columns(config.points, RATIONAL)[1])
+        expected = check_bounds(config)
+        rows = _check_rows(n, RATIONAL, weighed, expected.tolerance, True)
+        assert den == 2**53
+        assert repr(_aggregate(n, RATIONAL, expected.tolerance, 1, *rows)) == repr(expected)
+    assert n > 4 or dens != {2**53}
 
 
 @pytest.mark.parametrize("mode, tolerance, classified", [
@@ -639,7 +701,7 @@ def test_cycles_of_equal_weight_take_one_classification(mode, tolerance, classif
     monkeypatch.setattr(bounds, "_classify", lambda *a: calls.append(a) or classify_row(*a))
     # a regular tetrahedron: every cycle weighs 2/3 of w(K_4)
     tetrahedron = Configuration(((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)), mode)
-    kept, counts, _, _ = _check_rows([tetrahedron], tolerance, False)
+    kept, counts, _, _ = _check_configs([tetrahedron], tolerance, False)
     assert len(calls) == classified
     assert repr((kept, counts)) == repr(_row_by_row([tetrahedron], tolerance)[:2])
     assert counts[DEGENERATE] == (3 if classified == 4 else 0)

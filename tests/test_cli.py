@@ -408,6 +408,13 @@ def test_pentagon_overflowing_radius_is_degenerate(capsys, argv):
     assert "degenerate input:" in err and "Traceback" not in err
 
 
+def test_iterate_underflowing_radius_is_degenerate(capsys):
+    # every squared distance of the 1e-165 pentagon underflows to 0.0
+    code, out, err = invoke(capsys, "iterate", "--polygon", "--radius", "1e-165")
+    assert code == 3 and out == ""
+    assert err == "degenerate input: the total weight is zero or not finite\n"
+
+
 HUGE_FILE = ("points 5 dim 2 mode float\n1e160 2e160\n-3e160 1.5e160\n2.5e160 -1e160\n"
              "0 4e160\n-1e160 -2e160\n")
 
@@ -493,6 +500,10 @@ def test_help_exits_zero(capsys):
         ("identity", "--in", QUAD_FLOAT, "--trials", "5"),
         ("verify", "--n", "5", "--fuzz", "3", "--trials", "9"),
         ("identity", "--fuzz", "3", "--pairing", "1"),
+        # a typed count is a count, never the bare --fuzz that defers to --trials
+        ("verify", "--n", "5", "--fuzz", "-1"),
+        ("identity", "--fuzz", "-1"),
+        ("identity", "--fuzz", "-1", "--trials", "2"),
         ("optimize", "--conjecture", "--n", "5", "--restarts", "1", "--budget", "5"),
         ("optimize", "--conjecture", "--objective", "minimize", "--restarts", "1", "--budget", "5"),
         ("optimize", "--n", "5", "--n-max", "6", "--restarts", "1", "--budget", "5"),
