@@ -16,10 +16,10 @@ The ends are roots of P = T_{n+1}(y) - y T_n(y), y = 1 - n lam/2, which is
 are simple, and the ends are lam_2 and lam_{2 floor(n/2)}.  Float midpoints
 isolate the roots, checked exactly (Collins & Akritas, SYMSAC 1976), and each
 end's bracket is bisected until both its ends round to one float, the end
-correctly rounded.  Float mode compares ratios with those floats within a
-tolerance; rational mode decides exactly on int weights over the common
-denominator: one cross-multiplication outside an end's bracket, the sign of
-P inside it.
+correctly rounded.  ``_side`` compares w(E) with one end: in float mode with
+end * w(K_n) within tolerance * w(K_n), in rational mode exactly on int
+weights over the common denominator, by one cross-multiplication outside the
+end's bracket and the sign of P inside it.
 """
 
 from __future__ import annotations
@@ -130,35 +130,30 @@ def spectral_interval(n: int) -> tuple:
     return _spectrum(n)[:2]
 
 
-def _side(poly, n, w_e, w_k, end) -> int:
-    """-1, 0 or 1 as w_e / w_k (w_k > 0) lies below, at or above the bracketed root."""
-    a, a_den, b, b_den, sign_a = end
+def _side(spec, j: int, w_e, w_k, tolerance: float, mode: str) -> int:
+    """-1, 0 or 1 as w_e / w_k (w_k > 0) lies below, at or above end j (0 the lower,
+    1 the upper): w_e - end * w_k against tolerance * w_k in float mode, exact in rational."""
+    if mode != RATIONAL:
+        d = w_e - spec[j] * w_k
+        return 0 if abs(d) <= tolerance * w_k else (1 if d > 0 else -1)
+    a, a_den, b, b_den, sign_a = spec[4 + j]
     if w_e * a_den <= a * w_k:
         return -1
     if w_e * b_den > b * w_k:
         return 1
     # P keeps sign_a from a up to its one root in the bracket, then flips
-    return -sign_a * _sign(poly, n, w_e, w_k)
+    return -sign_a * _sign(spec[3], spec[2], w_e, w_k)
 
 
 def _classify(spec, w_e, w_k, tolerance: float, mode: str):
     """``classify`` for w_k > 0, given the configuration's ``_spectrum``."""
-    lo, hi, n, poly, lo_end, hi_end = spec
-    if mode == RATIONAL:
-        below, above = _side(poly, n, w_e, w_k, lo_end), _side(poly, n, w_e, w_k, hi_end)
-        if below < 0 or above > 0:
-            return None, VIOLATED
-        if above == 0 and n % 2 == 0:
-            return None, DEGENERATE
-        return None, (HOLDS_WITH_EQUALITY if below == 0 or above == 0 else HOLDS)
-    ratio = w_e / w_k
-    if n % 2 == 0 and hi * w_k - w_e <= tolerance * w_k:
-        return ratio, DEGENERATE
-    if ratio < lo - tolerance or ratio > hi + tolerance:
+    below, above = (_side(spec, j, w_e, w_k, tolerance, mode) for j in (0, 1))
+    ratio = None if mode == RATIONAL else w_e / w_k
+    if below < 0 or above > 0:
         return ratio, VIOLATED
-    if abs(ratio - lo) <= tolerance or abs(ratio - hi) <= tolerance:
-        return ratio, HOLDS_WITH_EQUALITY
-    return ratio, HOLDS
+    if above == 0 and spec[2] % 2 == 0:
+        return ratio, DEGENERATE
+    return ratio, (HOLDS_WITH_EQUALITY if below == 0 or above == 0 else HOLDS)
 
 
 def classify(w_e, w_k, n: int, tolerance: float, mode: str):
@@ -171,13 +166,10 @@ def _screen(spec, r_min, r_max, w_es, w_k, tolerance: float, mode: str) -> tuple
     """The running extreme ratios after a configuration with cycle weights
     ``w_es`` (first kept, replaced only on a strict < or >, as ``min``/``max``
     do), and the verdict of all its rows if the report only counts it, else
-    None.  ``_classify`` is monotone in w_e: if the lightest cycle clears the
-    lower end and the heaviest the upper one by more than the tolerance
-    (exactly, in rational mode), every row holds.  If the two weigh the same,
-    one ``_classify`` call decides every row."""
+    None.  ``_side`` is monotone in w_e: if the lightest cycle lies above the
+    lower end and the heaviest below the upper one, every row holds."""
     if not 0 < w_k < math.inf:
         return r_min, r_max, None
-    lo, hi, n, poly, lo_end, hi_end = spec
     e_min, e_max = min(w_es), max(w_es)
     if mode == RATIONAL:
         # cross-multiplying compares the ratios; a Fraction is built per new extreme
@@ -185,17 +177,13 @@ def _screen(spec, r_min, r_max, w_es, w_k, tolerance: float, mode: str) -> tuple
             r_min = Fraction(e_min, w_k)
         if r_max is None or e_max * r_max.denominator > r_max.numerator * w_k:
             r_max = Fraction(e_max, w_k)
-        clear = _side(poly, n, e_min, w_k, lo_end) > 0 and _side(poly, n, e_max, w_k, hi_end) < 0
     else:
         # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
         lo_r, hi_r = e_min / w_k, e_max / w_k
         r_min = lo_r if r_min is None or lo_r < r_min else r_min
         r_max = hi_r if r_max is None or hi_r > r_max else r_max
-        clear = (lo_r - lo > tolerance and hi - hi_r > tolerance
-                 and (n % 2 or hi * w_k - e_max > tolerance * w_k))
-    if e_min == e_max:
-        verdict = _classify(spec, e_min, w_k, tolerance, mode)[1]
-        return r_min, r_max, verdict if verdict in (HOLDS, HOLDS_WITH_EQUALITY) else None
+    clear = (_side(spec, 0, e_min, w_k, tolerance, mode) > 0
+             and _side(spec, 1, e_max, w_k, tolerance, mode) < 0)
     return r_min, r_max, HOLDS if clear else None
 
 
@@ -286,7 +274,7 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
     w_k = ordered_sum(w)
     if not 0 < w_k < math.inf:
         raise DegenerateError("the total weight is zero or not finite")
-    ends = spectral_interval(5)
+    spec, mode = _spectrum(5), config.mode
     cycles = enumerate_cycles(5)
     w_es = cycle_sums(w, 5)
     rows = []
@@ -294,20 +282,19 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
     for cycle, w_e in zip(cycles, w_es):
         comp = complement_cycle(cycle)
         w_d = w_es[cycles.index(comp)]
-        if config.mode == RATIONAL:
+        # rational mode: both ends are irrational, so no ratio attains one
+        lo_e, hi_e, lo_d, hi_d = (_side(spec, j, v, w_k, tolerance, mode) == 0
+                                  for v in (w_e, w_d) for j in (0, 1))
+        if mode == RATIONAL:
             r_e, r_d, residual = (Fraction(v, w_k) for v in (w_e, w_d, w_e + w_d - w_k))
-            # both ends are irrational, so no rational ratio attains one
-            lo_e = hi_e = False
             ok = ok and residual == 0
         else:
             r_e, r_d = w_e / w_k, w_d / w_k
             residual = r_e + r_d - 1
-            lo_e, hi_e = (abs(r_e - end) <= tolerance for end in ends)
-            lo_d, hi_d = (abs(r_d - end) <= tolerance for end in ends)
             # bound exchange: E at the bottom iff its complement at the top
             ok = ok and abs(residual) <= tolerance and (hi_e, lo_e) == (lo_d, hi_d)
         rows.append(DualityRow(cycle, comp, r_e, r_d, residual, lo_e, hi_e))
-    return DualityReport(config.mode, tolerance, HOLDS if ok else VIOLATED, tuple(rows))
+    return DualityReport(mode, tolerance, HOLDS if ok else VIOLATED, tuple(rows))
 
 
 # Cycle sums per pass of the fuzz screen: a chunk is max(1, 1024 // cycle
@@ -335,7 +322,6 @@ def fuzz(
     _require_tolerance(tolerance)
     if trials < 1:
         raise UsageError("trials must be at least 1")
-    random_columns((), n, dim, mode)  # random_config's checks, on no draws
 
     def weighed():
         # first run after _check_rows has refused an n over 10: the factorial stays small

@@ -101,6 +101,14 @@ def test_classifier_k4_float_bands():
     assert classify(0.4, 0.0, 4, 1e-9, FLOAT) == (None, DEGENERATE)
 
 
+@pytest.mark.parametrize("w_e, n, tolerance", [
+    (0.95, 3, 0.05), (1.05, 3, 0.05), (0.276393201250021, 5, 1e-9),
+])
+def test_float_gaps_just_past_the_tolerance_are_violations(w_e, n, tolerance):
+    # each gap to its end rounds past the tolerance: 0.95 - 1.0 = -0.05000000000000004
+    assert classify(w_e, 1.0, n, tolerance, FLOAT) == (w_e, VIOLATED)
+
+
 def test_classifier_k4_rational_exact():
     assert classify(Fraction(2, 5), Fraction(1), 4, 1e-9, RATIONAL)[1] == VIOLATED
     assert classify(Fraction(1, 2), Fraction(1), 4, 1e-9, RATIONAL)[1] == HOLDS_WITH_EQUALITY
@@ -307,6 +315,17 @@ def test_fuzz_validation():
         fuzz(1, 10, 4, mode="decimal")
     with pytest.raises(UsageError):
         fuzz(1, 10, 4, tolerance=-1.0)
+
+
+def test_fuzz_refuses_a_huge_n_before_drawing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="n = 3 to 10"):
+            fuzz(1, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fuzz_memory_does_not_grow_with_trials():
@@ -549,6 +568,24 @@ def test_screened_fuzz_matches_the_row_loop(seed, n, dim, mode, tolerance):
     assert repr(fuzz(seed, trials, n, dim, tolerance, mode)) == repr(expected)
 
 
+def _ulps(x, k):
+    """x moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 10), st.floats(1e-3, 1e3), TOLERANCES, st.data())
+def test_float_rows_hold_exactly_inside_both_tolerance_bands(n, w_k, tolerance, data):
+    lo, hi = spectral_interval(n)
+    band_edges = st.builds(lambda end, side, k: _ulps((end + side * tolerance) * w_k, k),
+                           st.sampled_from((lo, hi)), st.sampled_from((-1, 1)), st.integers(-3, 3))
+    w_e = data.draw(st.one_of(band_edges, st.floats(0, w_k)))
+    inside = w_e - lo * w_k > tolerance * w_k and w_e - hi * w_k < -tolerance * w_k
+    assert (classify(w_e, w_k, n, tolerance, FLOAT)[1] == HOLDS) == inside
+
+
 # (seed index, tolerance): the heaviest cycle's ratio r clears hi - r > tol,
 # but hi * w_k - w_e <= tol * w_k rounds the other way, so the row is degenerate
 ROUNDING_SLIVERS = [(13, 0.0512734553477091), (59, 0.05027550307370431),
@@ -691,11 +728,13 @@ def test_rational_rows_over_the_draws_den_match_a_single_check(n):
 
 
 @pytest.mark.parametrize("mode, tolerance, classified", [
-    (FLOAT, 1e-9, 1), (RATIONAL, 1e-9, 1),
+    (FLOAT, 1e-9, 0), (RATIONAL, 1e-9, 0),
     # 1 - 2/3 <= 0.4: every row is degenerate and reported, so the rows are classified
-    (FLOAT, 0.4, 4),
+    (FLOAT, 0.4, 3),
 ])
-def test_cycles_of_equal_weight_take_one_classification(mode, tolerance, classified, monkeypatch):
+def test_cycles_of_equal_weight_are_settled_by_the_side_tests(
+    mode, tolerance, classified, monkeypatch,
+):
     calls = []
     classify_row = bounds._classify
     monkeypatch.setattr(bounds, "_classify", lambda *a: calls.append(a) or classify_row(*a))
@@ -704,4 +743,4 @@ def test_cycles_of_equal_weight_take_one_classification(mode, tolerance, classif
     kept, counts, _, _ = _check_configs([tetrahedron], tolerance, False)
     assert len(calls) == classified
     assert repr((kept, counts)) == repr(_row_by_row([tetrahedron], tolerance)[:2])
-    assert counts[DEGENERATE] == (3 if classified == 4 else 0)
+    assert counts[DEGENERATE] == (3 if classified == 3 else 0)
