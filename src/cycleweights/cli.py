@@ -31,8 +31,8 @@ from .prng import MASK64
 from .sequences import check_sequence_properties, sequence_table
 
 
-# From n = 7144 on, a table row holds a Fraction with more digits than an int
-# renders as text by default (4300), so a longer table ends in a traceback.
+# From n = 7144 on, a table row holds a reduced int with more digits than an
+# int renders as text by default (4300), so a longer table ends in a traceback.
 MAX_TERMS = 7000
 
 
@@ -326,6 +326,12 @@ def _cmd_iterate(args) -> int:
 # --- sequence ---------------------------------------------------------
 
 
+def _pair_text(p: int, q: int) -> str:
+    """str of the Fraction p/q, for ints p, q in lowest terms with q > 0.  Its
+    decimal is the int division ``p / q``, correctly rounded like ``float()``."""
+    return f"{p}/{q}" if q != 1 else str(p)
+
+
 def _cmd_sequence(args) -> int:
     if not 2 <= args.terms <= MAX_TERMS:
         raise UsageError(f"--terms must be between 2 and {MAX_TERMS}")
@@ -337,22 +343,27 @@ def _cmd_sequence(args) -> int:
         check = check_sequence_properties(args.terms, table)
 
     def records():
-        obj = {"kind": "sequence", "terms": table.terms, "ratios": table.ratios,
-               "bounds": table.bound_values,
-               "ratio_decimals": [float(r) for r in table.ratios],
-               "bound_decimals": [float(b) for b in table.bound_values]}
+        ratios = [table.ratio_pair(n) for n in range(1, args.terms)]
+        bounds = [table.bound_pair(n) for n in range(2, args.terms + 1)]
+        obj = {"kind": "sequence",
+               "terms": [_pair_text(*table.term_pair(n)) for n in range(args.terms + 1)],
+               "ratios": [_pair_text(*r) for r in ratios],
+               "bounds": [_pair_text(*b) for b in bounds],
+               "ratio_decimals": [p / q for p, q in ratios],
+               "bound_decimals": [p / q for p, q in bounds]}
         if check is not None:
             obj["check"] = check
         yield obj
 
     def lines():
         yield "n,a,ratio,bound,bound_decimal"
-        for n, a in enumerate(table.terms):
+        for n in range(args.terms + 1):
+            a = _pair_text(*table.term_pair(n))
             if n < 2:
                 yield f"{n},{a},,,"
             else:
-                ratio, bound = table.ratio(n - 1), table.bound(n)
-                yield f"{n},{a},{float(ratio)!r},{bound},{float(bound)!r}"
+                (rp, rq), (bp, bq) = table.ratio_pair(n - 1), table.bound_pair(n)
+                yield f"{n},{a},{rp / rq!r},{_pair_text(bp, bq)},{bp / bq!r}"
         if check is not None:
             for name, value in _jsonable(check, ("n_checked",)).items():
                 yield f"# {name} {_fmt(value)}"

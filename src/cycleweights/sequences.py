@@ -2,11 +2,14 @@
 
     a_0 = 0,  a_1 = 1,  a_{n+2} = (12/16) a_{n+1} - (1/16) a_n
 
-The table runs it on the ints y_n = a_n 8^(n-1), y_{n+2} = 6 y_{n+1} - 4 y_n,
-and makes each term, ratio and bound one Fraction of them.  The sequence's
-qualitative facts (positivity, monotone decay, ratio bounds) involve
-comparisons against the irrational (3 + sqrt(5))/8, which exact arithmetic
-settles by squaring, as int comparisons on y_n — no tolerance enters a verdict.
+The table holds the ints y_n = a_n 8^(n-1), y_{n+2} = 6 y_{n+1} - 4 y_n, and
+builds a Fraction only for a term, ratio or bound that is read.  As
+y_{n+1}^2 - y_{n+2} y_n = 4^n, the odd parts of consecutive y_n are coprime,
+so each term, ratio and bound reduces by a shift, with no gcd.  The
+sequence's qualitative facts (positivity, monotone decay, ratio bounds)
+involve comparisons against the irrational (3 + sqrt(5))/8, which exact
+arithmetic settles by squaring, as int comparisons on y_n — no tolerance
+enters a verdict.
 
 The same coefficients have the closed form a_n = y_n / 8^(n-1) where
 (3 + sqrt(5))^n = x_n + y_n sqrt(5) with integer x_n, y_n; it is
@@ -22,39 +25,69 @@ from fractions import Fraction
 
 from .checks import HOLDS, VIOLATED
 from .errors import UsageError
+from .geometry import Record
 
 RATIO_LIMIT = (3 + math.sqrt(5)) / 8  # limit of a_{n+1}/a_n
 BOUND_LIMIT = (3 + math.sqrt(5)) / 2  # limit of B(n) = 3 - a_{n-1}/(4 a_n)
 
 
-class SequenceTable(namedtuple("SequenceTable", "terms ratios bound_values")):
-    """Terms a_0..a_N with consecutive ratios and bound values B(n).
+def _lowest(p: int, q: int) -> tuple:
+    """p/q (q > 0) as ints in lowest terms, when the odd parts of p and q are
+    coprime: both shifted right by the trailing zero bits of x = p | q, the
+    lesser count of p's and q's, ``(x & -x).bit_length() - 1``."""
+    x = p | q
+    s = (x & -x).bit_length() - 1
+    return p >> s, q >> s
+
+
+class SequenceTable(Record):
+    """Terms a_0..a_N with consecutive ratios and bound values B(n), held as
+    the tuple ``y`` of ints y_0..y_N and read as tuples of Fractions.
 
     ``ratios[k]`` is a_{k+2}/a_{k+1} (defined from a_1 on);
     ``bound_values[k]`` is B(k+2) = 3 - a_{k+1}/(4 a_{k+2}).  Use the
-    accessors to avoid the offsets.
+    accessors to avoid the offsets and to build one Fraction; the ``_pair``
+    ones give it as ints ``(p, q)``, in lowest terms for the recurrence's y_n.
     """
 
-    __slots__ = ()
+    _fields = ("terms", "ratios", "bound_values")
+    terms = property(lambda self: tuple(map(self.term, range(self.n_max + 1))))
+    ratios = property(lambda self: tuple(map(self.ratio, range(1, self.n_max))))
+    bound_values = property(lambda self: tuple(map(self.bound, range(2, self.n_max + 1))))
+
+    def __init__(self, y):
+        vars(self).update(y=tuple(y))
 
     @property
     def n_max(self) -> int:
-        return len(self.terms) - 1
+        return len(self.y) - 1
 
-    def term(self, n: int) -> Fraction:
-        return self.terms[n]
+    def term_pair(self, n: int) -> tuple:
+        """a_n = 8 y_n / 8^n for n >= 0."""
+        if n < 0:
+            raise UsageError("a term is defined for n >= 0")
+        return _lowest(8 * self.y[n], 1 << 3 * n)
 
-    def ratio(self, n: int) -> Fraction:
-        """a_{n+1}/a_n for n >= 1."""
+    def ratio_pair(self, n: int) -> tuple:
+        """a_{n+1}/a_n = y_{n+1} / (8 y_n) for n >= 1."""
         if n < 1:
             raise UsageError("ratio is defined for n >= 1")
-        return self.ratios[n - 1]
+        return _lowest(self.y[n + 1], 8 * self.y[n])
 
-    def bound(self, n: int) -> Fraction:
-        """B(n) = 3 - a_{n-1}/(4 a_n) for n >= 2."""
+    def bound_pair(self, n: int) -> tuple:
+        """B(n) = 3 - a_{n-1}/(4 a_n) = (3 y_n - 2 y_{n-1}) / y_n for n >= 2."""
         if n < 2:
             raise UsageError("the bound expression needs n >= 2")
-        return self.bound_values[n - 2]
+        return _lowest(3 * self.y[n] - 2 * self.y[n - 1], self.y[n])
+
+    def term(self, n: int) -> Fraction:
+        return Fraction(*self.term_pair(n))
+
+    def ratio(self, n: int) -> Fraction:
+        return Fraction(*self.ratio_pair(n))
+
+    def bound(self, n: int) -> Fraction:
+        return Fraction(*self.bound_pair(n))
 
 
 def sequence_table(n_max: int) -> SequenceTable:
@@ -64,11 +97,7 @@ def sequence_table(n_max: int) -> SequenceTable:
     y = [0, 1]
     while len(y) <= n_max:
         y.append(6 * y[-1] - 4 * y[-2])
-    # a_n = y_n / 8^(n-1), a_{n+1}/a_n = y_{n+1} / (8 y_n), B(n) = (3 y_n - 2 y_{n-1}) / y_n
-    terms = (Fraction(0), *(Fraction(y[n], 8 ** (n - 1)) for n in range(1, n_max + 1)))
-    ratios = tuple(Fraction(y[n + 1], 8 * y[n]) for n in range(1, n_max))
-    bounds = tuple(Fraction(3 * y[n] - 2 * y[n - 1], y[n]) for n in range(2, n_max + 1))
-    return SequenceTable(terms, ratios, bounds)
+    return SequenceTable(y)
 
 
 def closed_form_term(n: int) -> Fraction:
@@ -90,13 +119,6 @@ def closed_form_term(n: int) -> Fraction:
         bx, by = bx * bx + 5 * by * by, 2 * bx * by
         k >>= 1
     return Fraction(y, 8 ** (n - 1))
-
-
-def bound_value(n: int) -> Fraction:
-    """B(n) = 3 - a_{n-1}/(4 a_n), exact, for n >= 2."""
-    if n < 2:
-        raise UsageError("the bound expression needs n >= 2")
-    return sequence_table(n).bound(n)
 
 
 class SequencePropertyReport(namedtuple(
@@ -130,13 +152,8 @@ def check_sequence_properties(
         table = sequence_table(n_max)
     elif table.n_max < n_max:
         raise UsageError("the table must reach a_{n_max}")
-    # each property is homogeneous in y_n = a_n 8^(n-1), an int for every term of
-    # the sequence; a term whose denominator does not divide 8^(n-1) fails the check
-    y, integral, scale = [0], True, 1
-    for x in table.terms[1 : n_max + 1]:
-        q, r = divmod(scale, x.denominator)
-        y.append(x * scale if r else x.numerator * q)  # exact either way
-        integral, scale = integral and not r, 8 * scale
+    # each property is homogeneous in y_n = a_n 8^(n-1), the ints the table holds
+    y = list(table.y[: n_max + 1])
     y.append(6 * y[-1] - 4 * y[-2])  # the recurrence, times 8^n
     positive_decreasing = all(0 < y[n] and y[n + 1] < 8 * y[n] for n in range(1, n_max + 1))
     ratio_above = all(
@@ -144,7 +161,7 @@ def check_sequence_properties(
     )
     nonincreasing = all(y[n + 2] * y[n] <= y[n + 1] * y[n + 1] for n in range(1, n_max))
     gap = abs(y[n_max + 1] / (8 * y[n_max]) - RATIO_LIMIT) if y[n_max] else math.inf
-    ok = integral and positive_decreasing and ratio_above and nonincreasing
+    ok = positive_decreasing and ratio_above and nonincreasing
     return SequencePropertyReport(
         n_max, positive_decreasing, ratio_above, nonincreasing, gap,
         HOLDS if ok else VIOLATED,
@@ -163,7 +180,7 @@ def representation_residual(tr, n: int):
     if n < 2 or n > tr.levels:
         raise UsageError("n must satisfy 2 <= n <= trace levels")
     e = tr.e_values()
-    table = sequence_table(max(n - 1, 2)).terms
-    coeff_2 = table[n - 1]
-    coeff_1 = table[n - 2] / 16
+    table = sequence_table(max(n - 1, 2))
+    coeff_2 = table.term(n - 1)
+    coeff_1 = table.term(n - 2) / 16
     return e[n - 1] - (coeff_2 * e[1] - coeff_1 * e[0])

@@ -294,6 +294,18 @@ def test_sequence_json(capsys):
     assert obj["check"]["verdict"] == "holds"
 
 
+def test_sequence_rows_build_no_fraction(capsys, monkeypatch):
+    """The text rows and the check read the table's ints and reduced pairs alone."""
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr("cycleweights.sequences.Fraction", refuse)
+    code, out, _ = invoke(capsys, "sequence", "--terms", "300", "--check")
+    golden = Path(__file__).parent / "golden" / "sequence_terms300_check.out"
+    assert code == 0
+    assert out == golden.read_bytes().decode("utf-8")
+
+
 def test_sequence_errors(capsys):
     assert invoke(capsys, "sequence", "--terms", "1")[0] == 2
     assert invoke(capsys, "sequence", "--terms", "2", "--check")[0] == 2

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycleweights.bounds import spectral_interval
@@ -15,7 +15,6 @@ from cycleweights.sequences import (
     RATIO_LIMIT,
     SequencePropertyReport,
     SequenceTable,
-    bound_value,
     check_sequence_properties,
     closed_form_term,
     representation_residual,
@@ -44,14 +43,16 @@ def test_ratio_accessor():
     assert t.ratio(3) == Fraction(21, 32)
     with pytest.raises(UsageError):
         t.ratio(0)
+    with pytest.raises(UsageError):
+        t.term(-1)
 
 
 def test_bound_values_exact():
-    assert bound_value(2) == Fraction(8, 3)
-    assert bound_value(3) == Fraction(21, 8)
-    assert bound_value(4) == Fraction(55, 21)
+    assert sequence_table(2).bound(2) == Fraction(8, 3)
+    assert sequence_table(3).bound(3) == Fraction(21, 8)
+    assert sequence_table(4).bound(4) == Fraction(55, 21)
     with pytest.raises(UsageError):
-        bound_value(1)
+        sequence_table(2).bound(1)
 
 
 def test_table_validation():
@@ -132,10 +133,10 @@ def test_bound_dominates_weight_ratio():
         tr = trace(random_config(seed, 5, 2), SIDES, 1)
         e1, d1 = tr.e_values()[0], tr.d_values()[0]
         for n in range(2, 20):
-            assert float(bound_value(n)) * e1 >= d1 * (1 - 1e-9)
+            assert float(sequence_table(n).bound(n)) * e1 >= d1 * (1 - 1e-9)
     s = trace(regular_polygon(5, 1.0), SIDES, 1)
     e1, d1 = s.e_values()[0], s.d_values()[0]
-    assert abs(float(bound_value(60)) * e1 - d1) <= 1e-9 * d1
+    assert abs(float(sequence_table(60).bound(60)) * e1 - d1) <= 1e-9 * d1
 
 
 # --- the int checks against the Fraction checks they replaced --------------
@@ -171,16 +172,15 @@ def test_int_checks_match_the_fraction_checks(n_max):
 
 @pytest.mark.parametrize("k", [1, 2, 9, 30])
 @pytest.mark.parametrize("change", [
-    lambda a: a + Fraction(1, 3),  # a denominator that does not divide 8^(k-1)
-    lambda a: a * 2,
-    lambda a: a + Fraction(1, 2**200),
-    lambda a: Fraction(0),
+    lambda y: y + 1,
+    lambda y: y - 1,
+    lambda y: y * 2,
+    lambda y: 0,
 ])
 def test_a_perturbed_term_is_violated_without_raising(k, change):
-    table = sequence_table(30)
-    terms = list(table.terms)
-    terms[k] = change(terms[k])
-    bad = SequenceTable(tuple(terms), table.ratios, table.bound_values)
+    y = list(sequence_table(30).y)
+    y[k] = change(y[k])
+    bad = SequenceTable(y)
     rep = check_sequence_properties(30, bad)
     assert rep.verdict == "violated"
     if k < 30:  # the Fraction checks divide by a_30
@@ -223,3 +223,20 @@ def test_table_matches_the_fraction_recurrence(n_max):
     got = (table.terms, table.ratios, table.bound_values)
     assert got == _fraction_recurrence(n_max)
     assert all(type(v) is Fraction for part in got for v in part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7000))
+@example(7000)
+def test_reduced_pairs_are_the_fractions_in_lowest_terms(n):
+    """Each pair is reduced by a shift alone, with no gcd, yet equals the
+    Fraction of the unreduced quotient of y_n."""
+    table = sequence_table(n)
+    y, x = table.y[n], table.y[n - 1]
+    for pair, p, q in [
+        (table.term_pair(n), y, 8 ** (n - 1)),
+        (table.ratio_pair(n - 1), y, 8 * x),
+        (table.bound_pair(n), 3 * y - 2 * x, y),
+    ]:
+        f = Fraction(p, q)
+        assert pair == (f.numerator, f.denominator)
