@@ -14,17 +14,18 @@ reaching it is degenerate.  n = 4 gives 1/2 <= ratio < 1 and n = 5
 The ends are roots of P = T_{n+1}(y) - y T_n(y), y = 1 - n lam/2, which is
 -sin t sin nt at y = cos t: its roots lam_j = (2 - 2cos(j pi/n))/n, j = 0..n,
 are simple, and the ends are lam_2 and lam_{2 floor(n/2)}.  Float midpoints
-isolate the roots, checked exactly (Collins & Akritas, SYMSAC 1976), and each
-end's bracket is bisected until both its ends round to one float, the end
-correctly rounded.  ``_side`` compares w(E) with one end: in float mode with
-end * w(K_n) within tolerance * w(K_n), in rational mode exactly on int
-weights over the common denominator, by one cross-multiplication outside the
-end's bracket and the sign of P inside it.
+isolate the roots, checked exactly (Collins & Akritas, SYMSAC 1976).  Each end's
+bracket, from 4 ulps around its float root where the signs allow, is bisected
+until both its ends round to one float, the end correctly rounded.  ``_side``
+compares w(E) with one end: in float mode with end * w(K_n) within tolerance *
+w(K_n), in rational mode exactly on int weights over the common denominator, by
+one cross-multiplication outside the end's bracket and the sign of P inside it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -98,9 +99,9 @@ def _sign(poly, n: int, p, q) -> int:
 def _spectrum(n: int) -> tuple:
     """(lo, hi, n, P, lower end, upper end), built on first use for each n.
 
-    P holds the coefficients of P(y), constant first.  An end is (a, a_den,
-    b, b_den, sign of P at a/a_den), for a bracket a/a_den < lam <= b/b_den
-    holding no other root.
+    P holds the coefficients of P(y), constant first.  An end is (a, b, q,
+    sign of P at a/q), ints for a bracket a/q < lam <= b/q holding no other
+    root, q a power of two.
     """
     if not 3 <= n <= 10:
         raise UsageError("bound checks exist for n = 3 to 10")
@@ -109,20 +110,34 @@ def _spectrum(n: int) -> tuple:
         prev, cur = cur, [2 * c - d for c, d in zip([0] + cur, prev + [0, 0])]
     poly = tuple(c - d for c, d in zip(cur, [0] + prev))
     roots = [(2 - 2 * math.cos(j * math.pi / n)) / n for j in range(n + 1)]
-    seps = [Fraction(-1), *(Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])), Fraction(2)]
-    signs = [_sign(poly, n, s.numerator, s.denominator) for s in seps]
+    seps = [-1.0, *((a + b) / 2 for a, b in zip(roots, roots[1:])), 2.0]
+    signs = [_sign(poly, n, *s.as_integer_ratio()) for s in seps]
     if any(a * b >= 0 for a, b in zip(signs, signs[1:])):
         raise ArithmeticError(f"float separators do not isolate the roots for n = {n}")
     ends = []
     for j in (2, 2 * (n // 2)):
-        # lam_j is the only root in (seps[j], seps[j + 1])
-        a, b = seps[j], seps[j + 1]
-        while float(a) != float(b):
-            m = (a + b) / 2
-            a, b = (m, b) if _sign(poly, n, m.numerator, m.denominator) == signs[j] else (a, m)
-        ends.append((a.numerator, a.denominator, b.numerator, b.denominator, signs[j]))
-    lo, hi = (float(Fraction(a, a_den)) for a, a_den, *_ in ends)
+        # lam_j is the only root in (seps[j], seps[j + 1]).  Start from 4 ulps around its float
+        # where the signs show that they hold it, else from those separators, and bisect on ints
+        # over a power of two q: the int quotient a / q is correctly rounded.
+        s, r, u = signs[j], roots[j], 4 * math.ulp(roots[j])
+        a, b = r - u, r + u
+        if not (seps[j] < a and b < seps[j + 1] and _sign(poly, n, *a.as_integer_ratio()) == s
+                != _sign(poly, n, *b.as_integer_ratio())):
+            a, b = seps[j], seps[j + 1]
+        q = max(a.as_integer_ratio()[1], b.as_integer_ratio()[1])  # both a power of two
+        a, b = int(a * q), int(b * q)  # exact: a and b are multiples of 1 / q
+        while a / q != b / q:
+            m, q = a + b, 2 * q
+            a, b = (m, 2 * b) if _sign(poly, n, m, q) == s else (2 * a, m)
+        ends.append((a, b, q, s))
+    lo, hi = (a / q for a, _, q, _ in ends)
     return lo, hi, n, poly, *ends
+
+
+def has_ratio(w_k) -> bool:
+    """Whether w(K_n) gives a ratio: a positive int, or a normal finite float.  A
+    subnormal float has lost the bits a float verdict rests on, as 0 and inf have."""
+    return sys.float_info.min <= w_k < math.inf
 
 
 def spectral_interval(n: int) -> tuple:
@@ -136,17 +151,24 @@ def _side(spec, j: int, w_e, w_k, tolerance: float, mode: str) -> int:
     if mode != RATIONAL:
         d = w_e - spec[j] * w_k
         return 0 if abs(d) <= tolerance * w_k else (1 if d > 0 else -1)
-    a, a_den, b, b_den, sign_a = spec[4 + j]
-    if w_e * a_den <= a * w_k:
+    a, b, q, sign_a = spec[4 + j]
+    if w_e * q <= a * w_k:
         return -1
-    if w_e * b_den > b * w_k:
+    if w_e * q > b * w_k:
         return 1
     # P keeps sign_a from a up to its one root in the bracket, then flips
     return -sign_a * _sign(spec[3], spec[2], w_e, w_k)
 
 
+def at_end(w_e, w_k, n: int, j: int, tolerance: float) -> bool:
+    """Whether the float w_e / w_k is at end j (0 lower, 1 upper) of n's interval, by ``_side``."""
+    return _side(_spectrum(n), j, w_e, w_k, tolerance, FLOAT) == 0
+
+
 def _classify(spec, w_e, w_k, tolerance: float, mode: str):
-    """``classify`` for w_k > 0, given the configuration's ``_spectrum``."""
+    """``classify``, given the configuration's ``_spectrum``."""
+    if not has_ratio(w_k):
+        return None, DEGENERATE
     below, above = (_side(spec, j, w_e, w_k, tolerance, mode) for j in (0, 1))
     ratio = None if mode == RATIONAL else w_e / w_k
     if below < 0 or above > 0:
@@ -159,7 +181,7 @@ def _classify(spec, w_e, w_k, tolerance: float, mode: str):
 def classify(w_e, w_k, n: int, tolerance: float, mode: str):
     """(ratio, verdict) of one cycle on n points; rational mode is exact and
     leaves the ratio None.  For even n the upper end is degenerate."""
-    return (None, DEGENERATE) if w_k == 0 else _classify(_spectrum(n), w_e, w_k, tolerance, mode)
+    return _classify(_spectrum(n), w_e, w_k, tolerance, mode)
 
 
 def _screen(spec, r_min, r_max, w_es, w_k, tolerance: float, mode: str) -> tuple:
@@ -168,7 +190,7 @@ def _screen(spec, r_min, r_max, w_es, w_k, tolerance: float, mode: str) -> tuple
     do), and the verdict of all its rows if the report only counts it, else
     None.  ``_side`` is monotone in w_e: if the lightest cycle lies above the
     lower end and the heaviest below the upper one, every row holds."""
-    if not 0 < w_k < math.inf:
+    if not has_ratio(w_k):
         return r_min, r_max, None
     e_min, e_max = min(w_es), max(w_es)
     if mode == RATIONAL:
@@ -193,30 +215,27 @@ def _check_rows(n: int, mode: str, weighed, tolerance: float, keep_all: bool):
     ``weighed`` yields ``(config_id, w_es, w_k, den)``: a configuration's cycle
     weights in ``cycle_sums`` order and w(K_n), floats (den None) or ints over
     den**2 (``geometry.columns``) that ``exact`` and ``Fraction`` reduce, so any
-    common den gives the same rows.  If w(K_n) is 0 or not finite, every row is
-    degenerate.  ``_screen`` gives the ratio extremes, and counts the rows of a
-    configuration it settles unless ``keep_all``; the others are classified row
-    by row.  Only reported rows become CycleRows: all when ``keep_all``, else
-    the violated and degenerate ones.  ``_spectrum`` refuses an n outside 3..10
-    before ``weighed`` is read.
+    common den gives the same rows.  If w(K_n) gives no ratio (``has_ratio``),
+    every row is degenerate.  ``_screen`` gives the ratio extremes, and counts the
+    rows of a configuration it settles unless ``keep_all``; the others are
+    classified row by row.  Only reported rows become CycleRows: all when
+    ``keep_all``, else the violated and degenerate ones.  ``_spectrum`` refuses
+    an n outside 3..10 before ``weighed`` is read.
     """
     spec = _spectrum(n)
     counts = dict.fromkeys((HOLDS, HOLDS_WITH_EQUALITY, VIOLATED, DEGENERATE), 0)
     r_min = r_max = None
     kept = []
     for config_id, w_es, w_k, den in weighed:
-        has_ratio = 0 < w_k < math.inf
         r_min, r_max, verdict = _screen(spec, r_min, r_max, w_es, w_k, tolerance, mode)
         if verdict is not None and not keep_all:
             counts[verdict] += len(w_es)
             continue
         for cycle, w_e in zip(enumerate_cycles(n), w_es):
-            ratio, verdict = (
-                _classify(spec, w_e, w_k, tolerance, mode) if has_ratio else (None, DEGENERATE)
-            )
+            ratio, verdict = _classify(spec, w_e, w_k, tolerance, mode)
             counts[verdict] += 1
             if keep_all or verdict in (VIOLATED, DEGENERATE):
-                if mode == RATIONAL and has_ratio:
+                if mode == RATIONAL and has_ratio(w_k):
                     ratio = Fraction(w_e, w_k)
                 weights = exact((w_e, w_k - w_e, w_k), den)
                 kept.append(CycleRow(config_id, cycle, *weights, ratio, verdict))
@@ -272,8 +291,8 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
         raise UsageError("duality needs exactly 5 points")
     w = column_pair_weights(columns(config.points, config.mode)[0])
     w_k = ordered_sum(w)
-    if not 0 < w_k < math.inf:
-        raise DegenerateError("the total weight is zero or not finite")
+    if not has_ratio(w_k):
+        raise DegenerateError("the total weight is zero, subnormal or not finite")
     spec, mode = _spectrum(5), config.mode
     cycles = enumerate_cycles(5)
     w_es = cycle_sums(w, 5)

@@ -443,22 +443,23 @@ def _cmd_pentagon(args) -> int:
     if not args.check:
         _refuse(args, "pentagon without --check", "tol")
     config = regular_polygon(args.n, args.radius)
-    # a radius so small or so large that w(K_n) is 0 or not finite leaves no ratio
-    out_of_range = f"squared distances under- or overflow at radius {args.radius!r}"
-    # division by w_k > 0 is monotone, so dividing the extreme weights
-    # gives the same bits as taking the extremes of the ratios
+    # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
     w = pair_weights(config.points)
     w_k = ordered_sum(w)
-    if not 0 < w_k < math.inf:
-        raise DegenerateError(out_of_range)
-    lightest, heaviest = cycle_extremes(w, args.n)
-    count, lo, hi = math.factorial(args.n - 1) // 2, lightest / w_k, heaviest / w_k
-    # per-cycle rows for n = 4 and 5 only: n = 10 has 181,440 cycles
+    if not bounds_mod.has_ratio(w_k):
+        raise DegenerateError(f"squared distances under- or overflow at radius {args.radius!r}")
+    extremes = cycle_extremes(w, args.n)
+    count, lo, hi = math.factorial(args.n - 1) // 2, *(w_e / w_k for w_e in extremes)
+    # per-cycle rows for n = 4 and 5 only: n = 10 has 181,440 cycles.  A verdict is
+    # monotone in w(E), so a row is violated only if an extreme is.
     report = bounds_mod.check_bounds(config, REL_TOL_DERIVED) if args.n in (4, 5) else None
-    violations = report.violations if report is not None else 0
+    violations = report.violations if report is not None else sum(
+        bounds_mod.classify(w_e, w_k, args.n, REL_TOL_DERIVED, FLOAT)[1] == VIOLATED
+        for w_e in extremes)
     ends = bounds_mod.spectral_interval(5) if args.check else ()
     targets = tuple(zip(("lower", "upper"), (lo, hi), ends))
-    ok = {end: abs(value - target) <= args.tol for end, value, target in targets}
+    ok = {end: bounds_mod.at_end(w_e, w_k, 5, j, args.tol)
+          for j, ((end, *_), w_e) in enumerate(zip(targets, extremes))}
 
     def records():
         obj = {"kind": "pentagon", "n": args.n, "radius": args.radius, "cycles": count,

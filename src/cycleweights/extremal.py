@@ -35,7 +35,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import itemgetter
 
-from .bounds import spectral_interval
+from .bounds import classify, spectral_interval
+from .checks import REL_TOL_DERIVED, VIOLATED
 from .cycles import (
     Cycle, canonicalize, cycle_edges, cycle_sums, cycle_weight, enumerate_cycles, total_weight,
 )
@@ -62,8 +63,8 @@ class OptimizationResult(namedtuple(
 
     ``value`` is the best objective found; ``history`` lists the
     accepted values of the winning restart in order.  ``bound`` is the
-    spectral interval for this n and ``within_bounds`` allows a 1e-9 guard
-    band around it.
+    spectral interval for this n; ``within_bounds`` is whether ``bounds.classify``
+    finds ``value``, w(E) over w(K_n) = 1, not violated at ``REL_TOL_DERIVED``.
 
     The counters are summed over all restarts: ``evals`` candidates were
     screened, ``rescores`` of them passed the screen and were normalized
@@ -196,7 +197,7 @@ def optimize(
     best_restart, value, pts, history, _ = best
     config = Configuration(tuple(zip(*pts)), FLOAT)
     bound = spectral_interval(n)
-    within = bound[0] - 1e-9 <= value <= bound[1] + 1e-9
+    within = classify(value, 1.0, n, REL_TOL_DERIVED, FLOAT)[1] != VIOLATED
     return OptimizationResult(
         n, dim, objective, value, config, canonicalize(range(n)),
         restarts, total_sweeps, best_restart, bound, within, history,

@@ -21,7 +21,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import DegenerateError, UsageError
+from .errors import UsageError
 from .prng import stream_draws
 
 FLOAT = "float"
@@ -310,22 +310,6 @@ def normalized_points(cols):
     return [[x * s for x in col] for col in shifted]
 
 
-def normalize(config: Configuration) -> Configuration:
-    """Translate the centroid to the origin and rescale so the total
-    pairwise weight is 1.
-
-    Only defined in float mode — the scale factor is an inverse square
-    root, which rational mode cannot represent.  All cycle-weight ratios
-    are invariant under this map.
-    """
-    if config.mode != FLOAT:
-        raise UsageError("normalize is only available in float mode")
-    cols = normalized_points(list(zip(*config.points)))
-    if cols is None:
-        raise DegenerateError("all points coincide; total weight is zero")
-    return Configuration(tuple(zip(*cols)), FLOAT)
-
-
 # --- point-file format ----------------------------------------------------
 #
 #   # optional comment / blank lines anywhere
@@ -346,12 +330,7 @@ _HEADER_RE = re.compile(r"^points\s+(\d+)\s+dim\s+(\d+)\s+mode\s+(\w+)$")
 
 def parse_points(text: str) -> Configuration:
     """Parse the point-file format into a Configuration."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise UsageError("empty point file")
     m = _HEADER_RE.match(lines[0])

@@ -25,10 +25,10 @@ so a midpoint is an int sum; d, e and the residuals stay ints until read.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import namedtuple
 
+from .bounds import has_ratio
 from .checks import relative_residual
 from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
@@ -107,7 +107,7 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
 
     Points are reordered along the complement cycle of ``e_cycle``, so
     consecutive entries realize D edges and entries two apart realize E
-    edges.  A total weight of zero, or not finite, leaves nothing to iterate on.
+    edges.  A total weight that gives no ratio (``has_ratio``) is degenerate.
     """
     if config.n != 5:
         raise UsageError("midpoint iteration needs exactly 5 points")
@@ -116,8 +116,8 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
     cols, den = columns(config.points, config.mode)
     w = column_pair_weights(cols)
     w_k = ordered_sum(w)
-    if not 0 < w_k < math.inf:
-        raise DegenerateError("the total weight is zero or not finite")
+    if not has_ratio(w_k):
+        raise DegenerateError("the total weight is zero, subnormal or not finite")
     # E summed along its traversal, as cycle_weight sums it; D is the rest of K_5
     e = cycle_sums(w, 5)[enumerate_cycles(5).index(e_cycle)]
     order = operator.itemgetter(*complement_cycle(e_cycle).order)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from cycleweights.bounds import (
     classify,
     duality_check,
     fuzz,
+    has_ratio,
     spectral_interval,
 )
 from cycleweights.checks import (
@@ -191,6 +193,61 @@ def test_spectral_interval_closed_forms():
             assert abs(end - approx) <= math.ulp(end)
     with pytest.raises(UsageError):
         spectral_interval(2)
+
+
+def _fraction_bisection_ends(n):
+    """The reference ends: each bisected on Fractions from its float separators
+    until both bracket ends round to one float."""
+    poly = bounds._spectrum(n)[3]
+    roots = [(2 - 2 * math.cos(j * math.pi / n)) / n for j in range(n + 1)]
+    seps = [Fraction(-1), *(Fraction((a + b) / 2) for a, b in zip(roots, roots[1:])), Fraction(2)]
+    ends = []
+    for j in (2, 2 * (n // 2)):
+        a, b = seps[j], seps[j + 1]
+        sign = bounds._sign(poly, n, a.numerator, a.denominator)
+        while float(a) != float(b):
+            m = (a + b) / 2
+            a, b = (m, b) if bounds._sign(poly, n, m.numerator, m.denominator) == sign else (a, m)
+        ends.append(float(a))
+    return tuple(ends)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_spectrum_brackets_hold_exactly_their_root(n):
+    spec = bounds._spectrum.__wrapped__(n)
+    assert spec[:2] == _fraction_bisection_ends(n)
+    poly = spec[3]
+    # P has n + 1 roots, all in [0, 4/n]: between the float roots next to lam_j lies no other
+    roots = [(2 - 2 * math.cos(j * math.pi / n)) / n for j in range(n + 1)] + [2.0]
+    for end, j, (a, b, q, sign) in zip(spec[:2], (2, 2 * (n // 2)), spec[4:]):
+        assert q & (q - 1) == 0 and a < b
+        assert sign != 0 and bounds._sign(poly, n, a, q) == sign != bounds._sign(poly, n, b, q)
+        assert roots[j - 1] < a / q and b / q < roots[j + 1]
+        assert a / q == b / q == end
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_spectrum_falls_back_to_the_separators(n, monkeypatch):
+    # 4 ulps of 1.0 reach past every separator, so no end starts from its float root
+    monkeypatch.setattr(bounds, "math", SimpleNamespace(cos=math.cos, pi=math.pi, ulp=lambda x: 1.0))
+    assert bounds._spectrum.__wrapped__(n)[:2] == _fraction_bisection_ends(n)
+
+
+def test_has_ratio_needs_a_normal_float():
+    assert has_ratio(1) and has_ratio(sys.float_info.min) and has_ratio(10**400)
+    assert not any(has_ratio(w_k) for w_k in (5e-324, 0, 0.0, math.inf))
+
+
+def test_subnormal_total_weight_leaves_every_row_degenerate():
+    # squared gaps of order 1e-320 are subnormal, and so is their sum
+    config = Configuration(((1e-160, 2e-160), (-3e-160, 1.5e-160), (2.5e-160, -1e-160),
+                            (0.0, 4e-160), (-1e-160, -2e-160)))
+    rep = check_bounds(config)
+    assert rep.degenerate == rep.checks == 12 and rep.violations == 0
+    assert rep.min_ratio is None and all(r.ratio is None for r in rep.rows)
+    assert classify(1e-320, 5e-320, 5, 1e-9, FLOAT) == (None, DEGENERATE)
+    with pytest.raises(DegenerateError):
+        duality_check(config)
 
 
 def test_spectrum_refuses_separators_that_do_not_isolate_the_roots(monkeypatch):

@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycleweights
+from cycleweights.bounds import has_ratio
 from cycleweights.cli import run
 from cycleweights.cycles import enumerate_cycles
-from cycleweights.geometry import MAX_RATIONAL_TOKEN
+from cycleweights.geometry import (
+    MAX_RATIONAL_TOKEN, ordered_sum, pair_weights, regular_polygon,
+)
 
 SQUARE_FILE = "points 4 dim 2 mode float\n0 0\n1 0\n1 1\n0 1\n"
 PENT_FLOAT = str(Path(__file__).parent / "golden" / "inputs" / "pent_float.txt")
@@ -424,7 +427,49 @@ def test_iterate_underflowing_radius_is_degenerate(capsys):
     # every squared distance of the 1e-165 pentagon underflows to 0.0
     code, out, err = invoke(capsys, "iterate", "--polygon", "--radius", "1e-165")
     assert code == 3 and out == ""
-    assert err == "degenerate input: the total weight is zero or not finite\n"
+    assert err == "degenerate input: the total weight is zero, subnormal or not finite\n"
+
+
+@pytest.mark.parametrize("radius", ["1e-160", "1e-162"])
+@pytest.mark.parametrize("argv", [("--n", str(n)) for n in range(3, 11)] + [("--check",)])
+def test_pentagon_subnormal_total_weight_is_degenerate(capsys, argv, radius):
+    # w(K_n) = n^2 radius^2 is subnormal or 0: a float ratio has lost its bits
+    code, out, err = invoke(capsys, "pentagon", *argv, "--radius", radius)
+    assert code == 3 and out == ""
+    assert err == f"degenerate input: squared distances under- or overflow at radius {radius}\n"
+
+
+def test_iterate_subnormal_total_weight_is_degenerate(capsys):
+    code, out, err = invoke(capsys, "iterate", "--polygon", "--radius", "1e-160")
+    assert code == 3 and out == ""
+    assert err == "degenerate input: the total weight is zero, subnormal or not finite\n"
+
+
+TINY_FILE = ("points 5 dim 2 mode float\n1e-160 2e-160\n-3e-160 1.5e-160\n2.5e-160 -1e-160\n"
+             "0 4e-160\n-1e-160 -2e-160\n")
+
+
+def test_verify_subnormal_point_file_is_degenerate(capsys, tmp_path):
+    path = tmp_path / "tiny.txt"
+    path.write_text(TINY_FILE)
+    code, out, _ = invoke(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert out.count("verdict degenerate") == 12
+    assert "summary checks=12 violations=0 degenerate=12 equalities=0" in out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 10), st.floats(-160.0, 160.0))
+def test_pentagon_holds_wherever_the_total_weight_is_normal(n, exponent):
+    radius = 10.0**exponent
+    w_k = ordered_sum(pair_weights(regular_polygon(n, radius).points))
+    argv = ["pentagon", "--n", str(n), "--radius", repr(radius), "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code == (0 if has_ratio(w_k) else 3)
+    if code == 0:
+        assert json.loads(out.getvalue())["violations"] == 0
 
 
 HUGE_FILE = ("points 5 dim 2 mode float\n1e160 2e160\n-3e160 1.5e160\n2.5e160 -1e160\n"

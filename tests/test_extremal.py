@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleweights import extremal
+from cycleweights import bounds
 from cycleweights.bounds import spectral_interval
 from cycleweights.cycles import canonicalize, complement_cycle
 from cycleweights.errors import DegenerateError, UsageError
@@ -51,6 +52,17 @@ def closed_form(n, objective):
     of w(E)/w(K_n), at k = 1 for the minimum and k = n // 2 for the maximum."""
     k = 1 if objective == MINIMIZE else n // 2
     return (2 - 2 * math.cos(2 * math.pi * k / n)) / n
+
+
+@pytest.mark.parametrize("offset, within", [(0.0, True), (0.9e-9, True), (1.1e-9, False)])
+@pytest.mark.parametrize("objective", [MINIMIZE, MAXIMIZE])
+def test_within_bounds_allows_the_classifier_tolerance(monkeypatch, objective, offset, within):
+    res = optimize(3, 5, 2, objective, restarts=1, budget=20)
+    lo, hi, *rest = bounds._spectrum(5)
+    # move the end the search heads for to just past its value: the search never reads it
+    ends = (res.value + offset, hi) if objective == MINIMIZE else (lo, res.value - offset)
+    monkeypatch.setattr(bounds, "_spectrum", lambda n: (*ends, *rest))
+    assert optimize(3, 5, 2, objective, restarts=1, budget=20).within_bounds is within
 
 
 @pytest.mark.parametrize("objective", [MINIMIZE, MAXIMIZE])

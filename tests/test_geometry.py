@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycleweights.errors import DegenerateError, UsageError
+from cycleweights.errors import UsageError
 from cycleweights.geometry import (
     FLOAT,
     RATIONAL,
@@ -15,7 +15,6 @@ from cycleweights.geometry import (
     exact,
     format_points,
     midpoint,
-    normalize,
     normalized_points,
     ordered_sum,
     pair_weights,
@@ -201,22 +200,20 @@ def test_regular_polygon_validation():
 
 def test_normalize_unit_weight_and_centroid():
     c = random_config(5, 6, 2)
-    nc = normalize(c)
-    assert abs(pairwise_weight(nc.points) - 1.0) < 1e-12
-    for j in range(2):
-        assert abs(sum(p[j] for p in nc.points)) < 1e-12
+    cols = normalized_points([list(col) for col in zip(*c.points)])
+    points = tuple(zip(*cols))
+    assert abs(pairwise_weight(points) - 1.0) < 1e-12
+    for col in cols:
+        assert abs(sum(col)) < 1e-12
     # idempotent up to rounding
-    nnc = normalize(nc)
-    for p, q in zip(nc.points, nnc.points):
+    again = tuple(zip(*normalized_points(cols)))
+    for p, q in zip(points, again):
         assert squared_distance(p, q) < 1e-24
 
 
 def test_normalize_errors():
-    degenerate = Configuration(((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)))
-    with pytest.raises(DegenerateError):
-        normalize(degenerate)
-    with pytest.raises(UsageError):
-        normalize(random_config(1, 4, 2, RATIONAL))
+    # coincident points have no total weight to scale to 1
+    assert normalized_points([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]) is None
 
 
 def test_point_file_round_trip_float():
