@@ -15,7 +15,7 @@ The ends are roots of P = T_{n+1}(y) - y T_n(y), y = 1 - n lam/2, which is
 -sin t sin nt at y = cos t: its roots lam_j = (2 - 2cos(j pi/n))/n, j = 0..n,
 are simple, and the ends are lam_2 and lam_{2 floor(n/2)}.  Float midpoints
 isolate the roots, checked exactly (Collins & Akritas, SYMSAC 1976).  Each end's
-bracket, from 4 ulps around its float root where the signs allow, is bisected
+bracket, 4 ulps around its float root and checked to hold it, is bisected
 until both its ends round to one float, the end correctly rounded.  ``_side``
 compares w(E) with one end: in float mode with end * w(K_n) within tolerance *
 w(K_n), in rational mode exactly on int weights over the common denominator, by
@@ -116,16 +116,14 @@ def _spectrum(n: int) -> tuple:
         raise ArithmeticError(f"float separators do not isolate the roots for n = {n}")
     ends = []
     for j in (2, 2 * (n // 2)):
-        # lam_j is the only root in (seps[j], seps[j + 1]).  Start from 4 ulps around its float
-        # where the signs show that they hold it, else from those separators, and bisect on ints
-        # over a power of two q: the int quotient a / q is correctly rounded.
-        s, r, u = signs[j], roots[j], 4 * math.ulp(roots[j])
-        a, b = r - u, r + u
-        if not (seps[j] < a and b < seps[j + 1] and _sign(poly, n, *a.as_integer_ratio()) == s
-                != _sign(poly, n, *b.as_integer_ratio())):
-            a, b = seps[j], seps[j + 1]
-        q = max(a.as_integer_ratio()[1], b.as_integer_ratio()[1])  # both a power of two
-        a, b = int(a * q), int(b * q)  # exact: a and b are multiples of 1 / q
+        # lam_j is the only root in (seps[j], seps[j + 1]).  q = 1 / ulp of its float r, a power
+        # of two, makes r * q an int; (r * q -+ 4) / q, checked to hold lam_j, is bisected on ints
+        # over a doubling q: the int quotient a / q is correctly rounded.
+        s, q = signs[j], int(1 / math.ulp(roots[j]))
+        a, b = int(roots[j] * q) - 4, int(roots[j] * q) + 4
+        if not (seps[j] * q < a and b < seps[j + 1] * q
+                and _sign(poly, n, a, q) == s != _sign(poly, n, b, q)):
+            raise ArithmeticError(f"4 ulps around the float do not bracket lam_{j} for n = {n}")
         while a / q != b / q:
             m, q = a + b, 2 * q
             a, b = (m, 2 * b) if _sign(poly, n, m, q) == s else (2 * a, m)
@@ -135,9 +133,9 @@ def _spectrum(n: int) -> tuple:
 
 
 def has_ratio(w_k) -> bool:
-    """Whether w(K_n) gives a ratio: a positive int, or a normal finite float.  A
-    subnormal float has lost the bits a float verdict rests on, as 0 and inf have."""
-    return sys.float_info.min <= w_k < math.inf
+    """Whether w(K_n) gives a ratio: a positive int or Fraction, or a normal finite float.
+    A subnormal float has lost the bits a float verdict rests on, as 0 and inf have."""
+    return sys.float_info.min <= w_k < math.inf if isinstance(w_k, float) else w_k > 0
 
 
 def spectral_interval(n: int) -> tuple:

@@ -457,9 +457,7 @@ def _cmd_pentagon(args) -> int:
         bounds_mod.classify(w_e, w_k, args.n, REL_TOL_DERIVED, FLOAT)[1] == VIOLATED
         for w_e in extremes)
     ends = bounds_mod.spectral_interval(5) if args.check else ()
-    targets = tuple(zip(("lower", "upper"), (lo, hi), ends))
-    ok = {end: bounds_mod.at_end(w_e, w_k, 5, j, args.tol)
-          for j, ((end, *_), w_e) in enumerate(zip(targets, extremes))}
+    ok = [bounds_mod.at_end(w_e, w_k, 5, j, args.tol) for j, w_e in enumerate(extremes[:len(ends)])]
 
     def records():
         obj = {"kind": "pentagon", "n": args.n, "radius": args.radius, "cycles": count,
@@ -467,8 +465,8 @@ def _cmd_pentagon(args) -> int:
         if report is not None:
             obj["rows"] = [_row_json(r, "config_id") for r in report.rows]
         if args.check:
-            obj["check"] = {"lower_target": ends[0], "lower_ok": ok["lower"],
-                            "upper_target": ends[1], "upper_ok": ok["upper"],
+            obj["check"] = {"lower_target": ends[0], "lower_ok": ok[0],
+                            "upper_target": ends[1], "upper_ok": ok[1],
                             "tolerance": args.tol}
         yield obj
 
@@ -478,11 +476,11 @@ def _cmd_pentagon(args) -> int:
             for r in report.rows:
                 yield f"cycle {r.cycle} ratio {_fmt(r.ratio)} verdict {r.verdict}"
         yield f"extremes min {_fmt(lo)} max {_fmt(hi)}"
-        for end, value, target in targets:
-            yield f"{end} observed {_fmt(value)} target {_fmt(target)} ok {ok[end]}"
+        for end, value, target, at in zip(("lower", "upper"), (lo, hi), ends, ok):
+            yield f"{end} observed {_fmt(value)} target {_fmt(target)} ok {at}"
 
     _emit(args, records, lines)
-    return 1 if violations or not all(ok.values()) else 0
+    return 1 if violations or not all(ok) else 0
 
 
 # --- parser -----------------------------------------------------------

@@ -330,7 +330,12 @@ _HEADER_RE = re.compile(r"^points\s+(\d+)\s+dim\s+(\d+)\s+mode\s+(\w+)$")
 
 def parse_points(text: str) -> Configuration:
     """Parse the point-file format into a Configuration."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        lines.append(line)
     if not lines:
         raise UsageError("empty point file")
     m = _HEADER_RE.match(lines[0])

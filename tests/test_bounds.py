@@ -227,15 +227,26 @@ def test_spectrum_brackets_hold_exactly_their_root(n):
 
 
 @pytest.mark.parametrize("n", range(3, 11))
-def test_spectrum_falls_back_to_the_separators(n, monkeypatch):
-    # 4 ulps of 1.0 reach past every separator, so no end starts from its float root
-    monkeypatch.setattr(bounds, "math", SimpleNamespace(cos=math.cos, pi=math.pi, ulp=lambda x: 1.0))
-    assert bounds._spectrum.__wrapped__(n)[:2] == _fraction_bisection_ends(n)
+@pytest.mark.parametrize("ulp", [1.0, 2.0**-80], ids=["past-the-separators", "missing-the-root"])
+def test_spectrum_refuses_an_ulp_bracket_that_does_not_hold_its_root(n, ulp, monkeypatch):
+    # 4 ulps of 1.0 reach past every separator; 4 of 2^-80 fall short of the float's error
+    monkeypatch.setattr(bounds, "math", SimpleNamespace(cos=math.cos, pi=math.pi, ulp=lambda x: ulp))
+    with pytest.raises(ArithmeticError, match="bracket"):
+        bounds._spectrum.__wrapped__(n)
 
 
 def test_has_ratio_needs_a_normal_float():
     assert has_ratio(1) and has_ratio(sys.float_info.min) and has_ratio(10**400)
-    assert not any(has_ratio(w_k) for w_k in (5e-324, 0, 0.0, math.inf))
+    assert has_ratio(Fraction(1, 10**400))
+    assert not any(has_ratio(w_k) for w_k in (5e-324, 0, 0.0, math.inf, Fraction(0)))
+
+
+def test_rational_verdict_ignores_a_scale_below_the_floats():
+    tiny = Fraction(1, 10**400)
+    for n, w_e, w_k in ((4, 1, 2), (4, 3, 4), (5, 1, 2), (5, 1, 10), (5, 9, 10), (7, 1, 3)):
+        verdict = classify(w_e, w_k, n, 1e-9, RATIONAL)
+        assert classify(w_e * tiny, w_k * tiny, n, 1e-9, RATIONAL) == verdict
+        assert verdict[1] != DEGENERATE
 
 
 def test_subnormal_total_weight_leaves_every_row_degenerate():
