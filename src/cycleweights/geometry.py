@@ -273,11 +273,7 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
     """The configuration of :func:`random_columns` for one seed, so a seed pins
     it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
     both modes describe the identical point set."""
-    # the draws need no coercion or checks: set the fields, skip __init__
-    config = object.__new__(Configuration)
-    config.__dict__.update(points=exact_points(*random_columns((seed,), n, dim, mode)),
-                           mode=mode, dim=dim)
-    return config
+    return Configuration(exact_points(*random_columns((seed,), n, dim, mode)), mode)
 
 
 def regular_polygon(n: int, circumradius: float = 1.0) -> Configuration:

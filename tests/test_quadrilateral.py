@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from cycleweights import quadrilateral
 from cycleweights.checks import HOLDS, VIOLATED, relative_residual
 from cycleweights.errors import DegenerateError, UsageError
-from cycleweights.geometry import FLOAT, RATIONAL, midpoint, squared_distance
+from cycleweights.geometry import FLOAT, RATIONAL, midpoint, random_config, squared_distance
+from cycleweights.prng import MASK64, mix64
 from cycleweights.quadrilateral import (
     IdentityTerms,
     QuadLabeling,
@@ -318,20 +320,28 @@ def test_exact_terms_are_held_as_ints_and_read_as_fractions():
     assert terms == reference and hash(terms) == hash(reference)
 
 
-def test_fuzz_identity_calls_the_hooked_names_per_trial_and_pairing(monkeypatch):
-    calls = dict.fromkeys(("random_config", "mix64", "identity_terms"), 0)
-    for name in calls:
-        def counted(*args, _real=getattr(quadrilateral, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(quadrilateral, name, counted)
+def test_fuzz_identity_weighs_each_chunk_in_one_kernel_call(monkeypatch):
+    seeds, kernel_calls = [], []
+    mix, kernel = quadrilateral.mix64, quadrilateral.column_pair_weights
+
+    def refuse(*args):
+        raise AssertionError("the fuzz builds no labeling or configuration alone")
+
+    for name in ("random_config", "QuadLabeling", "identity_terms", "verify_identity"):
+        monkeypatch.setattr(quadrilateral, name, refuse)
+    monkeypatch.setattr(quadrilateral, "mix64", lambda z: seeds.append(z) or mix(z))
+    monkeypatch.setattr(quadrilateral, "column_pair_weights",
+                        lambda *a: kernel_calls.append(a) or kernel(*a))
+    trials = 2 * quadrilateral._CHUNK + 1
     for mode in (FLOAT, RATIONAL):
-        calls.update(dict.fromkeys(calls, 0))
-        assert fuzz_identity(3, 40, 2, mode).checks == 120
-        assert calls == {"random_config": 40, "mix64": 40, "identity_terms": 120}
+        seeds.clear()
+        kernel_calls.clear()
+        assert fuzz_identity(3, trials, 2, mode).checks == 3 * trials
+        assert seeds == list(range(3, 3 + trials))
+        assert len(kernel_calls) == 3
 
 
-def test_rational_fuzz_builds_fractions_only_for_the_draws(monkeypatch):
+def test_rational_fuzz_builds_no_fraction(monkeypatch):
     count = 0
     real = Fraction.__new__
 
@@ -345,7 +355,7 @@ def test_rational_fuzz_builds_fractions_only_for_the_draws(monkeypatch):
         count = 0
         rep = fuzz_identity(8, 200, dim, RATIONAL)
         assert rep.violations == 0 and rep.max_rel_residual == 0.0
-        assert count == 4 * dim * 200
+        assert count == 0
 
 
 def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
@@ -353,10 +363,64 @@ def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
 
     def off_by_one(*args):
         w = real(*args)
-        w[0] += 1
+        for k in range(0, len(w), 9):  # each labeling weighs l1..l6, then p, q and r
+            w[k] += 1
         return w
 
     monkeypatch.setattr(quadrilateral, "column_pair_weights", off_by_one)
     rep = fuzz_identity(9, 30, mode=RATIONAL)
     assert rep.violations == 90
     assert rep.max_rel_residual > 0
+
+
+# --- the chunked fuzz against one labeling at a time -------------------------
+
+
+def _reference_fuzz(seed, trials, dim, mode, tolerance=1e-9):
+    """fuzz_identity trial by trial: each trial's configuration drawn alone and
+    each pairing checked as ``identity --in`` checks it."""
+    checks = violations = 0
+    worst = 0.0
+    for i in range(trials):
+        points = random_config(mix64((seed + i) & MASK64), 4, dim, mode).points
+        for pairing in (0, 1, 2):
+            report = verify_identity(QuadLabeling(points, pairing, mode), tolerance)
+            t = report.terms
+            checks += 1
+            violations += report.verdict == VIOLATED
+            worst = max(worst, float(relative_residual(t.residual, t.lhs, t.rhs)))
+    return quadrilateral.IdentityFuzzReport(
+        trials, dim, mode, tolerance, checks, violations, worst)
+
+
+C = quadrilateral._CHUNK
+
+
+@pytest.mark.parametrize("trials", [1, C - 1, C, C + 1, 2 * C + 1])
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fuzz_matches_one_labeling_at_a_time_across_chunk_seams(trials, mode, dim):
+    got = fuzz_identity(11, trials, dim, mode)
+    expected = _reference_fuzz(11, trials, dim, mode)
+    assert got._asdict() == expected._asdict()
+    assert repr(got) == repr(expected)
+    if trials > 1:  # the comparison has teeth: a float worst residual is read
+        assert (got.max_rel_residual > 0) == (mode == FLOAT)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_fuzz_identity_memory_does_not_grow_with_trials(mode):
+    tracemalloc.start()
+    try:
+        # the first run fills the gather cache and the interpreter's free
+        # lists, which stay allocated; later peaks count what a run holds
+        fuzz_identity(3, 200, 2, mode)
+        peaks = []
+        for trials in (100, 1000, 10000):
+            tracemalloc.reset_peak()
+            fuzz_identity(3, trials, 2, mode)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+    assert peaks[2] < 2 * peaks[0]
