@@ -104,7 +104,7 @@ _PQR = (0, 2, 1, 3, 4, 5)  # p^2 = L1L3, q^2 = L2L4, r^2 = L5L6
 _MIDSEGMENTS = (1, 4, 0, 4, 1, 5, 0, 5, 0, 1, 0, 3)  # L2L5 L1L5 L2L6 L1L6 L1L2 L1L4
 
 # Trials per kernel call of the fuzz: the chunk bounds its memory, whatever the trial count.
-_CHUNK = 64
+_CHUNK = 16
 
 
 @lru_cache(maxsize=16)
