@@ -250,6 +250,11 @@ class Configuration(Record):
     def n(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """:func:`columns` of the points, computed once and kept beside the fields."""
+        return columns(self.points, self.mode)
+
 
 def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
     """``(cols, den)`` of one configuration per seed, laid end to end for
@@ -273,7 +278,11 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
     """The configuration of :func:`random_columns` for one seed, so a seed pins
     it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
     both modes describe the identical point set."""
-    return Configuration(exact_points(*random_columns((seed,), n, dim, mode)), mode)
+    # the draws need no coercion or checks: set the fields, skip __init__
+    config = object.__new__(Configuration)
+    config.__dict__.update(points=exact_points(*random_columns((seed,), n, dim, mode)),
+                           mode=mode, dim=dim)
+    return config
 
 
 def regular_polygon(n: int, circumradius: float = 1.0) -> Configuration:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from cycleweights import quadrilateral
 from cycleweights.checks import HOLDS, VIOLATED, relative_residual
 from cycleweights.errors import DegenerateError, UsageError
-from cycleweights.geometry import FLOAT, RATIONAL, midpoint, random_config, squared_distance
+from cycleweights.geometry import (
+    FLOAT, RATIONAL, Configuration, midpoint, random_config, squared_distance,
+)
 from cycleweights.prng import MASK64, mix64
 from cycleweights.quadrilateral import (
     IdentityTerms,
@@ -171,6 +173,18 @@ def test_quad_labeling_validation():
         QuadLabeling(HAND, 0, "decimal")
 
 
+def test_quad_labeling_takes_a_checked_configuration():
+    config = Configuration(HAND, RATIONAL)
+    quads = [QuadLabeling(config, p, RATIONAL) for p in (0, 1, 2)]
+    from_points = [QuadLabeling(HAND, p, RATIONAL) for p in (0, 1, 2)]
+    assert quads == from_points and all(q.config is config for q in quads)
+    assert list(map(identity_terms, quads)) == list(map(identity_terms, from_points))
+    with pytest.raises(UsageError):
+        QuadLabeling(config, 0, FLOAT)  # a configuration in another mode
+    with pytest.raises(UsageError):
+        QuadLabeling(Configuration((*HAND, (5, 5)), RATIONAL))
+
+
 def test_fuzz_identity_deterministic_and_clean():
     a = fuzz_identity(5, 200)
     b = fuzz_identity(5, 200)
@@ -320,28 +334,37 @@ def test_exact_terms_are_held_as_ints_and_read_as_fractions():
     assert terms == reference and hash(terms) == hash(reference)
 
 
-def test_fuzz_identity_weighs_each_chunk_in_one_kernel_call(monkeypatch):
-    seeds, kernel_calls = [], []
-    mix, kernel = quadrilateral.mix64, quadrilateral.column_pair_weights
-
-    def refuse(*args):
-        raise AssertionError("the fuzz builds no labeling or configuration alone")
-
-    for name in ("random_config", "QuadLabeling", "identity_terms", "verify_identity"):
-        monkeypatch.setattr(quadrilateral, name, refuse)
-    monkeypatch.setattr(quadrilateral, "mix64", lambda z: seeds.append(z) or mix(z))
-    monkeypatch.setattr(quadrilateral, "column_pair_weights",
-                        lambda *a: kernel_calls.append(a) or kernel(*a))
-    trials = 2 * quadrilateral._CHUNK + 1
+def test_fuzz_identity_calls_the_hooked_names_per_trial_and_pairing(monkeypatch):
+    calls = dict.fromkeys(("random_config", "mix64", "identity_terms"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(quadrilateral, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(quadrilateral, name, counted)
     for mode in (FLOAT, RATIONAL):
-        seeds.clear()
-        kernel_calls.clear()
-        assert fuzz_identity(3, trials, 2, mode).checks == 3 * trials
-        assert seeds == list(range(3, 3 + trials))
-        assert len(kernel_calls) == 3
+        calls.update(dict.fromkeys(calls, 0))
+        assert fuzz_identity(3, 40, 2, mode).checks == 120
+        assert calls == {"random_config": 40, "mix64": 40, "identity_terms": 120}
 
 
-def test_rational_fuzz_builds_no_fraction(monkeypatch):
+def test_fuzz_identity_clears_each_trial_once(monkeypatch):
+    # a trial's three labelings share its configuration, so its columns are taken once
+    calls = 0
+    real = quadrilateral.Configuration.columns.func
+
+    def counted(config):
+        nonlocal calls
+        calls += 1
+        return real(config)
+
+    monkeypatch.setattr(quadrilateral.Configuration.columns, "func", counted)
+    for mode in (FLOAT, RATIONAL):
+        calls = 0
+        assert fuzz_identity(3, 40, 2, mode).checks == 120
+        assert calls == 40
+
+
+def test_rational_fuzz_builds_fractions_only_for_the_draws(monkeypatch):
     count = 0
     real = Fraction.__new__
 
@@ -355,7 +378,7 @@ def test_rational_fuzz_builds_no_fraction(monkeypatch):
         count = 0
         rep = fuzz_identity(8, 200, dim, RATIONAL)
         assert rep.violations == 0 and rep.max_rel_residual == 0.0
-        assert count == 0
+        assert count == 4 * dim * 200
 
 
 def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
@@ -363,8 +386,7 @@ def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
 
     def off_by_one(*args):
         w = real(*args)
-        for k in range(0, len(w), 9):  # each labeling weighs l1..l6, then p, q and r
-            w[k] += 1
+        w[0] += 1
         return w
 
     monkeypatch.setattr(quadrilateral, "column_pair_weights", off_by_one)
@@ -373,12 +395,12 @@ def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
     assert rep.max_rel_residual > 0
 
 
-# --- the chunked fuzz against one labeling at a time -------------------------
+# --- the fuzz against one labeling at a time ---------------------------------
 
 
 def _reference_fuzz(seed, trials, dim, mode, tolerance=1e-9):
-    """fuzz_identity trial by trial: each trial's configuration drawn alone and
-    each pairing checked as ``identity --in`` checks it."""
+    """fuzz_identity trial by trial: each pairing labeled from the points alone
+    and checked as ``identity --in`` checks it."""
     checks = violations = 0
     worst = 0.0
     for i in range(trials):
@@ -393,13 +415,10 @@ def _reference_fuzz(seed, trials, dim, mode, tolerance=1e-9):
         trials, dim, mode, tolerance, checks, violations, worst)
 
 
-C = quadrilateral._CHUNK
-
-
-@pytest.mark.parametrize("trials", [1, C - 1, C, C + 1, 2 * C + 1])
+@pytest.mark.parametrize("trials", [1, 2, 17, 33])
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_fuzz_matches_one_labeling_at_a_time_across_chunk_seams(trials, mode, dim):
+def test_fuzz_matches_one_labeling_at_a_time(trials, mode, dim):
     got = fuzz_identity(11, trials, dim, mode)
     expected = _reference_fuzz(11, trials, dim, mode)
     assert got._asdict() == expected._asdict()
@@ -410,16 +429,18 @@ def test_fuzz_matches_one_labeling_at_a_time_across_chunk_seams(trials, mode, di
 
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
 def test_fuzz_identity_memory_does_not_grow_with_trials(mode):
+    # the first run fills the gather cache and the interpreter's free lists
+    # (up to 2,000 tuples of each size), which stay allocated; a later peak
+    # above the memory traced at its start counts what a run holds
+    fuzz_identity(3, 3000, 2, mode)
+    peaks = []
     tracemalloc.start()
     try:
-        # the first run fills the gather cache and the interpreter's free
-        # lists, which stay allocated; later peaks count what a run holds
-        fuzz_identity(3, 200, 2, mode)
-        peaks = []
-        for trials in (100, 1000, 10000):
+        for trials in (20, 200, 2000):
             tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
             fuzz_identity(3, trials, 2, mode)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
     finally:
         tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
