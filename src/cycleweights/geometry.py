@@ -250,11 +250,6 @@ class Configuration(Record):
     def n(self) -> int:
         return len(self.points)
 
-    @functools.cached_property
-    def columns(self) -> tuple:
-        """:func:`columns` of the points, computed once and kept beside the fields."""
-        return columns(self.points, self.mode)
-
 
 def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
     """``(cols, den)`` of one configuration per seed, laid end to end for

@@ -36,7 +36,7 @@ from .geometry import (
     RATIONAL, Configuration, Exact, Record, column_pair_weights, columns, exact_points,
     exact_value, ordered_sum,
 )
-from .quadrilateral import column_terms
+from .quadrilateral import QuadLabeling, identity_terms
 
 
 class IterationState(Record):
@@ -174,6 +174,8 @@ def quadruple_decomposition(config: Configuration, e_cycle: Cycle) -> tuple:
     if e_cycle.n != 5:
         raise UsageError("cycle size does not match configuration")
     o = e_cycle.order
-    windows = operator.itemgetter(*(o[(i + k) % 5] for i in range(5) for k in range(4)))
-    cols, den = columns(config.points, config.mode)
-    return tuple(column_terms([windows(c) for c in cols], den, (0,)))
+    out = []
+    for i in range(5):
+        window = tuple(config.points[o[(i + k) % 5]] for k in range(4))
+        out.append(identity_terms(QuadLabeling(window, 0, config.mode)))
+    return tuple(out)

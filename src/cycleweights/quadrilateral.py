@@ -26,37 +26,51 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
-from operator import itemgetter
+from operator import floordiv, itemgetter, truediv
 
 from .checks import HOLDS, REL_TOL_DERIVED, VIOLATED, relative_residual
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    FLOAT, Configuration, Exact, Record, column_pair_weights, exact, random_config,
+    FLOAT,
+    Configuration,
+    Exact,
+    Record,
+    column_pair_weights,
+    columns,
+    exact,
+    random_config,
 )
 from .prng import MASK64, mix64
 
 # vertex order (A, B, C, D) realizing each pairing of the input points
-_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+_ORDERS = tuple(itemgetter(*order) for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)))
+
+
+def _columns(points, mode: str) -> tuple:
+    """``columns`` of the points, in rational mode over twice the common
+    denominator, so that every midpoint is an integer point."""
+    cols, den = columns(points, mode)
+    return (cols, den) if den is None else ([[2 * x for x in c] for c in cols], 2 * den)
 
 
 class QuadLabeling(Record):
-    """Four points or a checked 4-point :class:`Configuration`, a pairing and a
-    mode; labelings built on one configuration share its ``config.columns``."""
+    """Four points plus a pairing choice and a scalar mode; ``cols`` and
+    ``den``, not fields, hold :func:`_columns` of the points."""
 
     _fields = ("points", "pairing", "mode")
 
     def __init__(self, points, pairing: int = 0, mode: str = FLOAT):
         if pairing not in (0, 1, 2):
             raise UsageError("pairing must be 0, 1, or 2")
-        config = points if isinstance(points, Configuration) else Configuration(points, mode)
-        if config.n != 4 or config.mode != mode:
-            raise UsageError(f"a quadrilateral labeling needs exactly 4 {mode} points")
-        vars(self).update(points=config.points, pairing=pairing, mode=mode, config=config)
+        if len(points) != 4:
+            raise UsageError("a quadrilateral labeling needs exactly 4 points")
+        points = Configuration(points, mode).points
+        cols, den = _columns(points, mode)
+        vars(self).update(points=points, pairing=pairing, mode=mode, cols=cols, den=den)
 
     def ordered(self) -> tuple:
         """Points as (A, B, C, D) for this pairing."""
-        return itemgetter(*_ORDERS[self.pairing])(self.points)
+        return _ORDERS[self.pairing](self.points)
 
 
 class IdentityTerms(Record):
@@ -97,54 +111,31 @@ class IdentityFuzzReport(namedtuple(
     __slots__ = ()
 
 
-# Segment k of A, B, C, D joins the points at positions _SIDES[2k] and _SIDES[2k + 1]
-# and has midpoint L_k.  The kernel weighs the gathered points two by two.
-_SIDES = (0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 1, 3)  # l1..l6: AB BC CD DA AC BD
-_PQR = (0, 2, 1, 3, 4, 5)  # p^2 = L1L3, q^2 = L2L4, r^2 = L5L6
-_MIDSEGMENTS = (1, 4, 0, 4, 1, 5, 0, 5, 0, 1, 0, 3)  # L2L5 L1L5 L2L6 L1L6 L1L2 L1L4
+# Segment k of A, B, C, D joins points _ENDS[0][k] and _ENDS[1][k] and has
+# midpoint L_k.  The kernel weighs the gathered points two by two.
+_ENDS = (itemgetter(0, 1, 2, 3, 0, 1), itemgetter(1, 2, 3, 0, 2, 3))
+_SEGMENTS = itemgetter(0, 1, 1, 2, 2, 3, 0, 3, 0, 2, 1, 3)  # l1..l6: AB BC CD DA AC BD
+_PQR = itemgetter(0, 2, 1, 3, 4, 5)  # p^2 = L1L3, q^2 = L2L4, r^2 = L5L6
+_MIDSEGMENTS = itemgetter(1, 4, 0, 4, 1, 5, 0, 5, 0, 1, 0, 3)  # L2L5 L1L5 L2L6 L1L6 L1L2 L1L4
 
 
-@lru_cache(maxsize=16)
-def _gathers(sets: int, pairings: tuple, mids: tuple) -> tuple:
-    """For ``sets`` 4-point sets end to end, each labeled by every pairing in
-    ``pairings`` in turn: the gather of the segment ends of every labeling, and
-    the gather, from those ends followed by their midpoints, of each labeling's
-    segment ends and then of its midpoint pairs ``mids``."""
-    ends = [4 * t + _ORDERS[p][i] for t in range(sets) for p in pairings for i in _SIDES]
-    n = len(ends)  # labeling k's ends sit at 12k.., and its L1..L6 at n + 6k..
-    take = [i for k in range(n // 12)
-            for i in (*range(12 * k, 12 * k + 12), *(n + 6 * k + j for j in mids))]
-    return itemgetter(*ends), itemgetter(*take)
-
-
-def _weigh(cols, den, pairings: tuple, mids: tuple) -> tuple:
-    """``(w, den)`` from one kernel call on the columns ``cols`` over ``den`` of any
-    number of 4-point sets end to end: per labeling, l1..l6 and then the weights
-    of its midpoint pairs ``mids``.  Rational columns are doubled over twice
-    ``den``, so that a midpoint is an int sum."""
-    ends, take = _gathers(len(cols[0]) // 4, pairings, mids)
-    k, h = (1, 0.5) if den is None else (2, 1)  # points times k, midpoints (x + y) * h
-    cols = [take([k * x for x in c] + [(x + y) * h for x, y in zip(c[::2], c[1::2])])
-            for c in map(ends, cols)]
-    return column_pair_weights(cols, len(cols[0]) // 2), den if den is None else 2 * den
-
-
-def column_terms(cols, den, pairings: tuple):
-    """Yield the :class:`IdentityTerms` of every pairing in ``pairings`` of each
-    4-point set in the columns ``cols`` over ``den`` (``geometry.columns``), the sets
-    laid end to end, all weighed in one kernel call; on ints in rational mode."""
-    w, den = _weigh(cols, den, pairings, _PQR)
-    for k in range(0, len(w), 9):
-        l1, l2, l3, l4, l5, l6, p_sq, q_sq, r_sq = w[k:k + 9]
-        rhs = l1 + l2 + l3 + l4
-        lhs = 4 * r_sq + l5 + l6
-        yield IdentityTerms(pairings[k // 9 % len(pairings)], (l1, l2, l3, l4, l5, l6),
-                            p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs, den)
+def _weigh(quad: QuadLabeling, pairs) -> tuple:
+    """``(l, m)`` from one kernel call: l1..l6, and the weights of the midpoint
+    pairs that ``pairs`` gathers from L1..L6, in the number format of ``quad.den``."""
+    (ga, gb), half = _ENDS, truediv if quad.den is None else floordiv
+    cols = [[*_SEGMENTS(c), *pairs([half(x + y, 2) for x, y in zip(ga(c), gb(c))])]
+            for c in map(_ORDERS[quad.pairing], quad.cols)]
+    w = column_pair_weights(cols, len(cols[0]) // 2)
+    return tuple(w[:6]), w[6:]
 
 
 def identity_terms(quad: QuadLabeling) -> IdentityTerms:
     """Evaluate every term of the relation for one labeling, on ints in rational mode."""
-    return next(column_terms(*quad.config.columns, (quad.pairing,)))
+    l_sq, (p_sq, q_sq, r_sq) = _weigh(quad, _PQR)
+    l1, l2, l3, l4, l5, l6 = l_sq
+    rhs = l1 + l2 + l3 + l4
+    lhs = 4 * r_sq + l5 + l6
+    return IdentityTerms(quad.pairing, l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs, quad.den)
 
 
 def midpoint_parallelogram_relations(quad: QuadLabeling) -> tuple:
@@ -179,22 +170,26 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
     equal by the parallelogram structure, so one residual per segment
     suffices).
     """
-    w, den = _weigh(*quad.config.columns, (quad.pairing,), _MIDSEGMENTS)
-    return exact((4 * x - l for x, l in zip(w[6:], w[:6])), den)
+    l_sq, m = _weigh(quad, _MIDSEGMENTS)
+    return exact((4 * x - l for x, l in zip(m, l_sq)), quad.den)
 
 
 def _verdict(t: IdentityTerms, tolerance: float) -> str:
-    """The relation's rule.  Float mode holds when |residual| <= tolerance *
-    (1 + |lhs| + |rhs|), and an lhs or rhs that overflows is degenerate; rational
-    mode demands an exact zero, of the int as held: no Fraction is built."""
+    """The relation's rule for one labeling's terms.
+
+    Float mode holds when |residual| <= tolerance * (1 + |lhs| + |rhs|), and
+    an lhs or rhs that overflows is degenerate; rational mode demands an
+    exact zero.  The terms are read as held, so no Fraction is built.
+    """
     if not tolerance > 0:
         raise UsageError("tolerance must be positive")
-    lhs, rhs, residual = itemgetter("lhs", "rhs", "residual")(vars(t))
+    held = vars(t)
     if t.den is not None:
-        return HOLDS if residual == 0 else VIOLATED
+        return HOLDS if held["residual"] == 0 else VIOLATED
+    lhs, rhs = held["lhs"], held["rhs"]
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise DegenerateError("squared distances overflow; the relation has no finite sides")
-    return HOLDS if abs(residual) <= tolerance * (1 + abs(lhs) + abs(rhs)) else VIOLATED
+    return HOLDS if abs(held["residual"]) <= tolerance * (1 + abs(lhs) + abs(rhs)) else VIOLATED
 
 
 def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> IdentityReport:
@@ -214,9 +209,8 @@ def fuzz_identity(
 
     Trial i uses the derived seed mix64(seed + i), so reports are fully
     reproducible and individual trials can be replayed in isolation.  A trial's
-    three labelings share its configuration and columns; each is weighed by
-    :func:`identity_terms` and judged by :func:`verify_identity`'s rule, and no
-    term is read for a zero residual.
+    labelings share its columns, each is decided by :func:`verify_identity`'s
+    rule, and no term is read for a zero residual.
     """
     if trials < 1:
         raise UsageError("trials must be at least 1")
@@ -224,8 +218,13 @@ def fuzz_identity(
     worst = 0.0
     for i in range(trials):
         config = random_config(mix64((seed + i) & MASK64), 4, dim, mode)
+        cols, den = _columns(config.points, mode)
         for pairing in (0, 1, 2):
-            t = identity_terms(QuadLabeling(config, pairing, mode))
+            # the draw needs no coercion or checks: set the fields, skip __init__
+            quad = object.__new__(QuadLabeling)
+            quad.__dict__.update(points=config.points, pairing=pairing, mode=mode,
+                                 cols=cols, den=den)
+            t = identity_terms(quad)
             violations += _verdict(t, tolerance) == VIOLATED
             if vars(t)["residual"]:
                 worst = max(worst, float(relative_residual(t.residual, t.lhs, t.rhs)))

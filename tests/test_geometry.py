@@ -98,13 +98,6 @@ def test_configuration_rational_coercion():
     assert c.dim == 2 and c.n == 3 and c.mode == RATIONAL
 
 
-def test_configuration_keeps_its_columns():
-    for mode in (FLOAT, RATIONAL):
-        c = Configuration(((0, 0), (Fraction(1, 3), 0), (0, 0.5)), mode)
-        assert c.columns == columns(c.points, mode) and c.columns is c.columns
-        assert c == Configuration(c.points, mode) and "columns" not in repr(c)
-
-
 def test_random_config_deterministic_and_in_unit_box():
     a = random_config(99, 6, 3)
     b = random_config(99, 6, 3)

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,9 +7,7 @@ from hypothesis import strategies as st
 from cycleweights import quadrilateral
 from cycleweights.checks import HOLDS, VIOLATED, relative_residual
 from cycleweights.errors import DegenerateError, UsageError
-from cycleweights.geometry import (
-    FLOAT, RATIONAL, Configuration, midpoint, random_config, squared_distance,
-)
+from cycleweights.geometry import FLOAT, RATIONAL, midpoint, random_config, squared_distance
 from cycleweights.prng import MASK64, mix64
 from cycleweights.quadrilateral import (
     IdentityTerms,
@@ -171,18 +168,6 @@ def test_quad_labeling_validation():
         QuadLabeling(((0, 0), (1, 0), (0, 1), (1, 1, 1)))
     with pytest.raises(UsageError):
         QuadLabeling(HAND, 0, "decimal")
-
-
-def test_quad_labeling_takes_a_checked_configuration():
-    config = Configuration(HAND, RATIONAL)
-    quads = [QuadLabeling(config, p, RATIONAL) for p in (0, 1, 2)]
-    from_points = [QuadLabeling(HAND, p, RATIONAL) for p in (0, 1, 2)]
-    assert quads == from_points and all(q.config is config for q in quads)
-    assert list(map(identity_terms, quads)) == list(map(identity_terms, from_points))
-    with pytest.raises(UsageError):
-        QuadLabeling(config, 0, FLOAT)  # a configuration in another mode
-    with pytest.raises(UsageError):
-        QuadLabeling(Configuration((*HAND, (5, 5)), RATIONAL))
 
 
 def test_fuzz_identity_deterministic_and_clean():
@@ -347,23 +332,6 @@ def test_fuzz_identity_calls_the_hooked_names_per_trial_and_pairing(monkeypatch)
         assert calls == {"random_config": 40, "mix64": 40, "identity_terms": 120}
 
 
-def test_fuzz_identity_clears_each_trial_once(monkeypatch):
-    # a trial's three labelings share its configuration, so its columns are taken once
-    calls = 0
-    real = quadrilateral.Configuration.columns.func
-
-    def counted(config):
-        nonlocal calls
-        calls += 1
-        return real(config)
-
-    monkeypatch.setattr(quadrilateral.Configuration.columns, "func", counted)
-    for mode in (FLOAT, RATIONAL):
-        calls = 0
-        assert fuzz_identity(3, 40, 2, mode).checks == 120
-        assert calls == 40
-
-
 def test_rational_fuzz_builds_fractions_only_for_the_draws(monkeypatch):
     count = 0
     real = Fraction.__new__
@@ -395,53 +363,49 @@ def test_rational_fuzz_reports_a_perturbed_kernel(monkeypatch):
     assert rep.max_rel_residual > 0
 
 
-# --- the fuzz against one labeling at a time ---------------------------------
+def test_float_fuzz_judges_a_perturbed_kernel_as_verify_identity_does(monkeypatch):
+    real = quadrilateral.column_pair_weights
+    shift = 1.0
+
+    def shifted(*args):
+        w = real(*args)
+        w[0] += shift
+        return w
+
+    monkeypatch.setattr(quadrilateral, "column_pair_weights", shifted)
+    rep = fuzz_identity(9, 30)
+    assert rep.violations == 90 and rep.max_rel_residual > 1e-3
+    shift = 1e-12  # inside the tolerance of every labeling
+    rep = fuzz_identity(9, 30)
+    assert rep.violations == 0 and 0 < rep.max_rel_residual < 1e-9
+    shift = float("inf")  # an overflowing side is degenerate, as for ``identity --in``
+    with pytest.raises(DegenerateError):
+        fuzz_identity(9, 30)
+    with pytest.raises(DegenerateError):
+        verify_identity(QuadLabeling(HAND))
 
 
 def _reference_fuzz(seed, trials, dim, mode, tolerance=1e-9):
-    """fuzz_identity trial by trial: each pairing labeled from the points alone
-    and checked as ``identity --in`` checks it."""
-    checks = violations = 0
+    """fuzz_identity trial by trial, each pairing labeled from the bare points
+    through QuadLabeling's checks and decided by verify_identity."""
+    violations = 0
     worst = 0.0
     for i in range(trials):
         points = random_config(mix64((seed + i) & MASK64), 4, dim, mode).points
         for pairing in (0, 1, 2):
             report = verify_identity(QuadLabeling(points, pairing, mode), tolerance)
             t = report.terms
-            checks += 1
             violations += report.verdict == VIOLATED
             worst = max(worst, float(relative_residual(t.residual, t.lhs, t.rhs)))
     return quadrilateral.IdentityFuzzReport(
-        trials, dim, mode, tolerance, checks, violations, worst)
+        trials, dim, mode, tolerance, 3 * trials, violations, worst)
 
 
-@pytest.mark.parametrize("trials", [1, 2, 17, 33])
+@pytest.mark.parametrize("trials", [1, 40])
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_fuzz_matches_one_labeling_at_a_time(trials, mode, dim):
+def test_fuzz_matches_one_checked_labeling_at_a_time(trials, mode, dim):
     got = fuzz_identity(11, trials, dim, mode)
-    expected = _reference_fuzz(11, trials, dim, mode)
-    assert got._asdict() == expected._asdict()
-    assert repr(got) == repr(expected)
+    assert repr(got) == repr(_reference_fuzz(11, trials, dim, mode))
     if trials > 1:  # the comparison has teeth: a float worst residual is read
         assert (got.max_rel_residual > 0) == (mode == FLOAT)
-
-
-@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
-def test_fuzz_identity_memory_does_not_grow_with_trials(mode):
-    # the first run fills the gather cache and the interpreter's free lists
-    # (up to 2,000 tuples of each size), which stay allocated; a later peak
-    # above the memory traced at its start counts what a run holds
-    fuzz_identity(3, 3000, 2, mode)
-    peaks = []
-    tracemalloc.start()
-    try:
-        for trials in (20, 200, 2000):
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            fuzz_identity(3, trials, 2, mode)
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-    finally:
-        tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0]
-    assert peaks[2] < 2 * peaks[0]
