@@ -330,12 +330,7 @@ _HEADER_RE = re.compile(r"^points\s+(\d+)\s+dim\s+(\d+)\s+mode\s+(\w+)$")
 
 def parse_points(text: str) -> Configuration:
     """Parse the point-file format into a Configuration."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not lines:
         raise UsageError("empty point file")
     m = _HEADER_RE.match(lines[0])

@@ -1,7 +1,10 @@
 import hashlib
 import math
 
-from cycleweights.prng import MASK64, SplitMix64, draws, mix64, stream_draws
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cycleweights.prng import MASK64, SplitMix64, _lanes, draws, mix64, stream_draws
 
 # first outputs for seed 0, cross-checked against the reference
 # C implementation of SplitMix64
@@ -88,3 +91,39 @@ def test_first_fuzz_chunk_digests_are_pinned():
         assert len(xs) == 85 * count
         blob = b"".join(x.to_bytes(8, "little") for x in xs)
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+GAMMA = 0x9E3779B97F4A7C15
+PINNED = (0, MASK64, 2**64, -1, 2**70)
+
+
+def sequential(seeds, count):
+    out = []
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        out += [rng.next_u64() >> 11 for _ in range(count)]
+    return out
+
+
+# seeds within 40 steps of 2**64, so a lane's state sum carries past bit 64
+seed_lists = st.lists(st.one_of(
+    st.sampled_from(PINNED),
+    st.integers(2**64 - 40 * GAMMA, 2**64 + 40 * GAMMA),
+    st.integers(-(2**80), 2**80),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed_lists, st.integers(0, 40), st.permutations(PINNED))
+def test_packed_lanes_are_the_sequential_streams(seeds, count, pinned):
+    for xs in (seeds, [*pinned, *seeds], []):
+        got = stream_draws(xs, count)
+        assert got == sequential(xs, count)
+        assert all(type(x) is int for x in got)
+
+
+def test_lane_cache_keeps_at_most_64_shapes():
+    for streams in range(1, 21):
+        for count in range(10):
+            stream_draws([streams] * streams, count)
+    assert _lanes.cache_info().currsize <= 64
