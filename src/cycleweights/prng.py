@@ -14,10 +14,9 @@ State update per draw, all arithmetic mod 2**64:
 
 Unit floats take the top 53 bits: ``(output >> 11) * 2.0**-53``.
 
-The state after k draws is seed + k * 0x9E3779B97F4A7C15 mod 2**64, a closed
-form in k (Steele, Lea & Flood, OOPSLA 2014), so :func:`stream_draws` runs the
-finalizer on every state of many streams at once, each in its own 128-bit lane
-of one int: SIMD within a register (Fisher & Dietz, LCPC 1998).
+The state after k draws is seed + k * 0x9E3779B97F4A7C15 mod 2**64 (Steele, Lea &
+Flood, OOPSLA 2014), so :func:`stream_draws` finalizes many streams' states at once
+in 128-bit lanes of one int: SIMD within a register (Fisher & Dietz, LCPC 1998).
 """
 
 import struct
@@ -53,19 +52,17 @@ def draws(seed: int, count: int) -> list:
 @lru_cache(maxsize=64)
 def _lanes(streams: int, count: int) -> tuple:
     """Lane mask, step vector (k * gamma, unreduced, in lane k of a stream) and unpacker."""
-    m = streams * count
     steps = b"".join((k * _GAMMA).to_bytes(16, "little") for k in range(1, count + 1))
-    return (int.from_bytes(MASK64.to_bytes(16, "little") * m, "little"),
-            int.from_bytes(steps * streams, "little"), struct.Struct("<" + "Q8x" * m))
+    return (int.from_bytes(MASK64.to_bytes(16, "little") * streams * count, "little"),
+            int.from_bytes(steps * streams, "little"), struct.Struct("<" + "Q8x" * streams * count))
 
 
 def stream_draws(seeds, count: int) -> list:
-    """``draws(seed, count)`` of each seed in the sequence ``seeds``, one stream
-    after another.  Lane k of a stream holds seed + k * gamma, masked to its low
-    64 bits: a 64-bit value times a 64-bit multiplier stays below 2**128, so no
-    product carries into the next lane.  A right shift pulls the next lane's low
-    bits into this lane's high half; a mask clears them before each multiply, and
-    after the last shift the unpacker skips them.  Bytes are little-endian."""
+    """``draws(seed, count)`` of each seed in the sequence ``seeds``, one stream after
+    another.  Lane k of a stream holds seed + k * gamma masked to 64 bits, and a 64-bit value
+    times a 64-bit multiplier stays below 2**128, so no product carries into the next lane.  A
+    right shift pulls the next lane's low bits into this lane's high half: a mask clears them
+    before each multiply, and the unpacker skips them after the last.  Bytes are little-endian."""
     mask, steps, lanes = _lanes(len(seeds), count)
     packed = b"".join((s & MASK64).to_bytes(16, "little") * count for s in seeds)
     x = (int.from_bytes(packed, "little") + steps) & mask
