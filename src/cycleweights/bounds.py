@@ -41,8 +41,7 @@ from .checks import (
 from .cycles import complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, RATIONAL, column_pair_weights, columns, exact, ordered_sum,
-    random_columns,
+    Configuration, FLOAT, RATIONAL, column_pair_weights, exact, ordered_sum, random_columns,
 )
 # not called here: the benchmark's tracer hooks this name on this module
 from .geometry import random_config  # noqa: F401
@@ -256,9 +255,8 @@ def check_bounds(config: Configuration, tolerance: float = REL_TOL_DERIVED) -> B
     """Check every cycle of one configuration against the spectral interval."""
     _require_tolerance(tolerance)
     n, mode = config.n, config.mode
-    cols, den = columns(config.points, mode)
-    w = column_pair_weights(cols)
-    weighed = ((0, cycle_sums(w, n), ordered_sum(w), den),)
+    w = column_pair_weights(config.cols)
+    weighed = ((0, cycle_sums(w, n), ordered_sum(w), config.den),)
     return _aggregate(n, mode, tolerance, 1, *_check_rows(n, mode, weighed, tolerance, True))
 
 
@@ -287,7 +285,7 @@ def duality_check(config: Configuration, tolerance: float = REL_TOL_DIRECT) -> D
     _require_tolerance(tolerance)
     if config.n != 5:
         raise UsageError("duality needs exactly 5 points")
-    w = column_pair_weights(columns(config.points, config.mode)[0])
+    w = column_pair_weights(config.cols)
     w_k = ordered_sum(w)
     if not has_ratio(w_k):
         raise DegenerateError("the total weight is zero, subnormal or not finite")

@@ -23,7 +23,7 @@ from .cycles import cycle_weight, enumerate_cycles  # noqa: F401
 from .errors import DegenerateError, UsageError
 from .extremal import MAXIMIZE, MINIMIZE, conjecture_table, optimize
 from .geometry import (
-    FLOAT, MODES, RATIONAL, Configuration, format_points, ordered_sum, pair_weights,
+    FLOAT, MODES, RATIONAL, Configuration, column_pair_weights, format_points, ordered_sum,
     parse_points, random_config, regular_polygon,
 )
 from .pentagon import trace
@@ -444,7 +444,7 @@ def _cmd_pentagon(args) -> int:
         _refuse(args, "pentagon without --check", "tol")
     config = regular_polygon(args.n, args.radius)
     # division by w_k > 0 is monotone: the extreme weights give the extreme ratios
-    w = pair_weights(config.points)
+    w = column_pair_weights(config.cols)
     w_k = ordered_sum(w)
     if not bounds_mod.has_ratio(w_k):
         raise DegenerateError(f"squared distances under- or overflow at radius {args.radius!r}")

@@ -15,7 +15,7 @@ import itertools
 import operator
 
 from .geometry import (
-    Configuration, Record, Scalar, _gather, pairwise_weight, squared_distance,
+    Configuration, Record, Scalar, _gather, ordered_sum, squared_distance,
 )
 from .errors import UsageError
 
@@ -96,7 +96,7 @@ def enumerate_cycles(n: int) -> tuple:
 def cycle_edges(n: int) -> tuple:
     """Edge indices of each cycle of ``enumerate_cycles(n)``, in that order.
 
-    Entry k lists the indices into ``pair_weights(points)`` of cycle k's
+    Entry k lists the indices into ``column_pair_weights(config.cols)`` of cycle k's
     edges in traversal order, so summing those pair weights in list
     order gives exactly ``cycle_weight``.  Built from the vertex sequences,
     so no Cycle is made.  :func:`cycle_sums` gathers them one edge position
@@ -120,7 +120,7 @@ def _position_gathers(n: int, batch: int = 1) -> tuple:
 
 def cycle_sums(w, n: int, batch: int = 1) -> list:
     """Weight of every cycle of ``enumerate_cycles(n)`` from the pair weights
-    ``w`` of n points (``pair_weights`` order), as a list in that order; the
+    ``w`` of n points (``column_pair_weights`` order), as a list in that order; the
     lists of ``batch`` configurations end to end if ``w`` holds their vectors so.
 
     Edge position by position, each cycle adds its next pair weight to its
@@ -189,8 +189,9 @@ def cycle_weight(config: Configuration, cycle: Cycle) -> Scalar:
 
 
 def total_weight(config: Configuration) -> Scalar:
-    """Weight of the whole complete graph: every unordered pair once."""
-    return pairwise_weight(config.points)
+    """Weight of the whole complete graph: every unordered pair once, summed
+    pair by pair in the kernel's (i, j), i < j order, as ``cycle_weight`` sums."""
+    return ordered_sum(squared_distance(p, q) for p, q in itertools.combinations(config.points, 2))
 
 
 def complement_weight(config: Configuration, cycle: Cycle) -> Scalar:

@@ -42,8 +42,7 @@ from .cycles import (
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    Configuration, FLOAT, column_pair_weights, normalized_points, ordered_sum, pair_weights,
-    random_config,
+    Configuration, FLOAT, column_pair_weights, normalized_points, ordered_sum, random_config,
 )
 from .prng import MASK64, mix64
 
@@ -146,7 +145,7 @@ def optimize(
     for r in range(restarts):
         start = random_config(mix64((seed + r) & MASK64), n, dim, FLOAT)
         # coordinate columns for the whole search: a move copies one column
-        pts = normalized_points(list(zip(*start.points)))
+        pts = normalized_points(start.cols)
         if pts is None:  # unreachable for random draws, but stay safe
             continue
         w_e, w_k = _identity_weights(pts)
@@ -229,7 +228,7 @@ def conjecture_table(
 
 
 def _extreme_cycle(config: Configuration, minimize: bool):
-    w = pair_weights(config.points)
+    w = column_pair_weights(config.cols)
     w_k = ordered_sum(w)
     ratios = [w_e / w_k for w_e in cycle_sums(w, config.n)]
     # min and max keep the first of equal extremes, as a strict < or > would

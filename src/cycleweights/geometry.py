@@ -57,7 +57,7 @@ def _coerce_point(p, mode: str) -> Point:
 def squared_distance(p: Point, q: Point) -> Scalar:
     """Edge weight between two points: sum of squared coordinate gaps.
 
-    The two-point reference, kept for ``cycles.cycle_weight``; every other
+    The two-point reference, kept for the ``cycles`` oracles; every other
     weight comes from :func:`column_pair_weights`, bit for bit the same."""
     if len(p) != len(q):
         raise UsageError(f"dimension mismatch: {len(p)} vs {len(q)}")
@@ -93,9 +93,9 @@ def _pair_gathers(n: int, batch: int = 1) -> tuple:
 
 
 def column_pair_weights(cols, batch: int = 1) -> list:
-    """The one weight kernel: ``pair_weights`` of coordinate columns, where
-    ``cols[k][i]`` is coordinate k of point i.  Entry (i, j) is d0*d0 + d1*d1
-    (+ d2*d2), bit for bit a row loop's sum from 0, since 0 + d*d == d*d.
+    """The one weight kernel: every pair's squared distance in the package's one
+    pair order, (i, j) with i < j, where ``cols[k][i]`` is coordinate k of point i.
+    Entry (i, j) is d0*d0 + d1*d1 (+ d2*d2), as :func:`squared_distance` sums from 0.
     The columns may hold ``batch`` configurations end to end, point t*n + i
     being point i of configuration t; their pair vectors come back end to end."""
     ga, gb = _pair_gathers(len(cols[0]) // batch, batch)
@@ -190,20 +190,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def pair_weights(points) -> list:
-    """Squared distance of every unordered pair, in (i, j), i < j order.
-
-    This is the one pair order of the package.  w(K_n) is the ordered
-    sum of this list, and a cycle's weight is the ordered sum of its
-    entries at ``cycles.cycle_edges``, which equals ``cycle_weight`` bit
-    for bit.  The rows are transposed once for :func:`column_pair_weights`.
-    """
-    if len({len(p) for p in points}) > 1:
-        raise UsageError("dimension mismatch between points")
-    cols = list(zip(*points))  # empty for no points, or points without coordinates
-    return column_pair_weights(cols) if cols else [0] * (len(points) * (len(points) - 1) // 2)
-
-
 def ordered_sum(values) -> Scalar:
     """Left-to-right ``+=`` from 0: the one summation order for weights.
 
@@ -218,16 +204,12 @@ def ordered_sum(values) -> Scalar:
     return total
 
 
-def pairwise_weight(points) -> Scalar:
-    """Total squared-distance weight over all unordered point pairs."""
-    return ordered_sum(pair_weights(points))
-
-
 class Configuration(Record):
     """Ordered, immutable point set with one dimension and one scalar mode.
 
     ``dim`` is derived from the points; mixing dimensions or passing
-    fewer than three points is a usage error.
+    fewer than three points is a usage error.  ``cols`` and ``den``, not
+    fields, hold :func:`columns` of the points, which every weighing reads.
     """
 
     _fields = ("points", "mode", "dim")
@@ -244,7 +226,8 @@ class Configuration(Record):
         dim = dims.pop()
         if dim not in (2, 3):
             raise UsageError("dimension must be 2 or 3")
-        vars(self).update(points=pts, mode=mode, dim=dim)
+        cols, den = columns(pts, mode)
+        vars(self).update(points=pts, mode=mode, dim=dim, cols=cols, den=den)
 
     @property
     def n(self) -> int:
@@ -272,11 +255,12 @@ def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
 def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configuration:
     """The configuration of :func:`random_columns` for one seed, so a seed pins
     it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
-    both modes describe the identical point set."""
+    both modes describe the identical point set.  ``cols`` and ``den`` are the
+    draw's own, ``den`` 2**53 in rational mode, not the lcm :func:`columns` finds."""
     # the draws need no coercion or checks: set the fields, skip __init__
     config = object.__new__(Configuration)
-    config.__dict__.update(points=exact_points(*random_columns((seed,), n, dim, mode)),
-                           mode=mode, dim=dim)
+    cols, den = random_columns((seed,), n, dim, mode)
+    config.__dict__.update(points=exact_points(cols, den), mode=mode, dim=dim, cols=cols, den=den)
     return config
 
 

@@ -33,7 +33,7 @@ from .checks import relative_residual
 from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
-    RATIONAL, Configuration, Exact, Record, column_pair_weights, columns, exact_points,
+    RATIONAL, Configuration, Exact, Record, column_pair_weights, exact_points,
     exact_value, ordered_sum,
 )
 from .quadrilateral import QuadLabeling, identity_terms
@@ -113,15 +113,14 @@ def init_state(config: Configuration, e_cycle: Cycle) -> IterationState:
         raise UsageError("midpoint iteration needs exactly 5 points")
     if e_cycle.n != 5:
         raise UsageError("cycle size does not match configuration")
-    cols, den = columns(config.points, config.mode)
-    w = column_pair_weights(cols)
+    w = column_pair_weights(config.cols)
     w_k = ordered_sum(w)
     if not has_ratio(w_k):
         raise DegenerateError("the total weight is zero, subnormal or not finite")
     # E summed along its traversal, as cycle_weight sums it; D is the rest of K_5
     e = cycle_sums(w, 5)[enumerate_cycles(5).index(e_cycle)]
     order = operator.itemgetter(*complement_cycle(e_cycle).order)
-    return IterationState(1, [order(c) for c in cols], w_k - e, e, config.mode, den)
+    return IterationState(1, [order(c) for c in config.cols], w_k - e, e, config.mode, config.den)
 
 
 def step(state: IterationState) -> IterationState:

@@ -36,7 +36,6 @@ from .geometry import (
     Exact,
     Record,
     column_pair_weights,
-    columns,
     exact,
     random_config,
 )
@@ -46,16 +45,16 @@ from .prng import MASK64, mix64
 _ORDERS = tuple(itemgetter(*order) for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)))
 
 
-def _columns(points, mode: str) -> tuple:
-    """``columns`` of the points, in rational mode over twice the common
-    denominator, so that every midpoint is an integer point."""
-    cols, den = columns(points, mode)
+def _columns(config: Configuration) -> tuple:
+    """The configuration's ``(cols, den)``, in rational mode over twice its
+    ``den``, so that every midpoint is an integer point."""
+    cols, den = config.cols, config.den
     return (cols, den) if den is None else ([[2 * x for x in c] for c in cols], 2 * den)
 
 
 class QuadLabeling(Record):
     """Four points plus a pairing choice and a scalar mode; ``cols`` and
-    ``den``, not fields, hold :func:`_columns` of the points."""
+    ``den``, not fields, hold :func:`_columns` of their configuration."""
 
     _fields = ("points", "pairing", "mode")
 
@@ -64,9 +63,9 @@ class QuadLabeling(Record):
             raise UsageError("pairing must be 0, 1, or 2")
         if len(points) != 4:
             raise UsageError("a quadrilateral labeling needs exactly 4 points")
-        points = Configuration(points, mode).points
-        cols, den = _columns(points, mode)
-        vars(self).update(points=points, pairing=pairing, mode=mode, cols=cols, den=den)
+        config = Configuration(points, mode)
+        cols, den = _columns(config)
+        vars(self).update(points=config.points, pairing=pairing, mode=mode, cols=cols, den=den)
 
     def ordered(self) -> tuple:
         """Points as (A, B, C, D) for this pairing."""
@@ -177,9 +176,9 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
 def _verdict(t: IdentityTerms, tolerance: float) -> str:
     """The relation's rule for one labeling's terms.
 
-    Float mode holds when |residual| <= tolerance * (1 + |lhs| + |rhs|), and
-    an lhs or rhs that overflows is degenerate; rational mode demands an
-    exact zero.  The terms are read as held, so no Fraction is built.
+    Float mode holds when ``relative_residual(residual, lhs, rhs)``, the scale the
+    fuzz reports, is within tolerance, and overflowing sides are degenerate;
+    rational mode demands an exact zero.  No Fraction is built: terms are read as held.
     """
     if not tolerance > 0:
         raise UsageError("tolerance must be positive")
@@ -189,7 +188,7 @@ def _verdict(t: IdentityTerms, tolerance: float) -> str:
     lhs, rhs = held["lhs"], held["rhs"]
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise DegenerateError("squared distances overflow; the relation has no finite sides")
-    return HOLDS if abs(held["residual"]) <= tolerance * (1 + abs(lhs) + abs(rhs)) else VIOLATED
+    return HOLDS if relative_residual(held["residual"], lhs, rhs) <= tolerance else VIOLATED
 
 
 def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> IdentityReport:
@@ -218,7 +217,7 @@ def fuzz_identity(
     worst = 0.0
     for i in range(trials):
         config = random_config(mix64((seed + i) & MASK64), 4, dim, mode)
-        cols, den = _columns(config.points, mode)
+        cols, den = _columns(config)
         for pairing in (0, 1, 2):
             # the draw needs no coercion or checks: set the fields, skip __init__
             quad = object.__new__(QuadLabeling)

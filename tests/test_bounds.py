@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -39,12 +40,11 @@ from cycleweights.geometry import (
     FLOAT,
     RATIONAL,
     column_pair_weights,
-    columns,
     ordered_sum,
-    pair_weights,
     random_columns,
     random_config,
     regular_polygon,
+    squared_distance,
 )
 from cycleweights.prng import mix64
 
@@ -457,7 +457,7 @@ def _reference_rows(configs, tolerance, keep_all):
     kept = []
     for config_id, config in enumerate(configs):
         n = config.n
-        w = pair_weights(config.points)
+        w = [squared_distance(p, q) for p, q in itertools.combinations(config.points, 2)]
         w_k = ordered_sum(w)
         for cycle, edges in zip(enumerate_cycles(n), cycle_edges(n)):
             w_e = ordered_sum([w[e] for e in edges])
@@ -506,14 +506,13 @@ def test_single_checks_match_the_fraction_loops(config, tolerance):
 
 def _check_configs(configs, tolerance, keep_all):
     """``_check_rows`` on configurations of one n and mode, each weighed as
-    ``check_bounds`` weighs it: ``columns``, then ``column_pair_weights``."""
+    ``check_bounds`` weighs it: ``column_pair_weights`` of its ``cols``."""
     n, mode = configs[0].n, configs[0].mode
 
     def weighed():
         for config_id, config in enumerate(configs):
-            cols, den = columns(config.points, mode)
-            w = column_pair_weights(cols)
-            yield config_id, cycle_sums(w, n), ordered_sum(w), den
+            w = column_pair_weights(config.cols)
+            yield config_id, cycle_sums(w, n), ordered_sum(w), config.den
 
     return _check_rows(n, mode, weighed(), tolerance, keep_all)
 
@@ -779,15 +778,16 @@ def test_fuzz_classifies_unsettled_trials_from_the_chunk_weights(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_rational_rows_over_the_draws_den_match_a_single_check(n):
-    # a chunk weighs rational draws as ints over 2**53; at n = 3 and 4 seeds 51
-    # and 218 draw coordinates whose lcm den, the one columns takes, is smaller
+    # a chunk weighs rational draws as ints over 2**53; at n = 3 and 4 seeds 51 and
+    # 218 draw coordinates whose lcm den, the one a parsed configuration takes, is smaller
     dens = set()
     for seed, dim in [(0, 2), (1, 3), (51, 2), (218, 2), (218, 3)]:
         cols, den = random_columns((seed,), n, dim, RATIONAL)
         w = column_pair_weights(cols)
         weighed = ((0, cycle_sums(w, n), ordered_sum(w), den),)
-        config = random_config(seed, n, dim, RATIONAL)
-        dens.add(columns(config.points, RATIONAL)[1])
+        # the points alone, so that the configuration takes the lcm den
+        config = Configuration(random_config(seed, n, dim, RATIONAL).points, RATIONAL)
+        dens.add(config.den)
         expected = check_bounds(config)
         rows = _check_rows(n, RATIONAL, weighed, expected.tolerance, True)
         assert den == 2**53

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,11 +15,10 @@ from hypothesis import strategies as st
 
 import cycleweights
 from cycleweights.bounds import has_ratio
+from cycleweights.checks import relative_residual
 from cycleweights.cli import run
-from cycleweights.cycles import enumerate_cycles
-from cycleweights.geometry import (
-    MAX_RATIONAL_TOKEN, ordered_sum, pair_weights, regular_polygon,
-)
+from cycleweights.cycles import enumerate_cycles, total_weight
+from cycleweights.geometry import MAX_RATIONAL_TOKEN, format_points, random_config, regular_polygon
 
 SQUARE_FILE = "points 4 dim 2 mode float\n0 0\n1 0\n1 1\n0 1\n"
 PENT_FLOAT = str(Path(__file__).parent / "golden" / "inputs" / "pent_float.txt")
@@ -202,6 +202,33 @@ def test_identity_fuzz(capsys):
     assert code == 0
     assert obj["checks"] == 300 and obj["violations"] == 0
     assert obj["max_rel_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("seed, dim", [(0, 2), (9, 3)])
+def test_identity_fuzz_violates_exactly_when_its_reported_residual_exceeds_tol(capsys, seed, dim):
+    fuzz = ("identity", "--fuzz", "500", "--seed", str(seed), "--dim", str(dim), "--json")
+    worst = json.loads(invoke(capsys, *fuzz)[1])["max_rel_residual"]
+    assert worst > 0
+    # the two tolerances straddle the run's maximum by one ulp
+    for tol in (math.nextafter(worst, 0), worst):
+        code, out, _ = invoke(capsys, *fuzz, "--tol", repr(tol))
+        obj = json.loads(out)
+        assert obj["max_rel_residual"] == worst
+        assert (obj["violations"] > 0) == (worst > tol) == (code == 1)
+
+
+def test_identity_file_violates_exactly_where_the_residual_exceeds_tol(capsys, tmp_path):
+    path = tmp_path / "quad.txt"
+    # every pairing of this draw has a nonzero float residual, each of another size
+    path.write_text(format_points(random_config(6, 4, 2)))
+    rows = json.loads(invoke(capsys, "identity", "--in", str(path), "--json")[1])["rows"]
+    rel = [relative_residual(r["residual"], r["lhs"], r["rhs"]) for r in rows]
+    assert 0 < min(rel) and len(set(rel)) == 3
+    for tol in [t for r in rel for t in (math.nextafter(r, 0), r)]:
+        code, out, _ = invoke(capsys, "identity", "--in", str(path), "--tol", repr(tol), "--json")
+        obj = json.loads(out)
+        assert [r["verdict"] == "violated" for r in obj["rows"]] == [r > tol for r in rel]
+        assert (obj["violations"] > 0) == (max(rel) > tol) == (code == 1)
 
 
 def test_identity_usage_errors(capsys, tmp_path):
@@ -462,7 +489,7 @@ def test_verify_subnormal_point_file_is_degenerate(capsys, tmp_path):
 @given(st.integers(3, 10), st.floats(-160.0, 160.0))
 def test_pentagon_holds_wherever_the_total_weight_is_normal(n, exponent):
     radius = 10.0**exponent
-    w_k = ordered_sum(pair_weights(regular_polygon(n, radius).points))
+    w_k = total_weight(regular_polygon(n, radius))
     argv = ["pentagon", "--n", str(n), "--radius", repr(radius), "--json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -23,10 +23,11 @@ from cycleweights.errors import UsageError
 from cycleweights.geometry import (
     Configuration,
     column_pair_weights,
+    exact,
+    exact_value,
     FLOAT,
     RATIONAL,
     ordered_sum,
-    pair_weights,
     random_config,
     regular_polygon,
     squared_distance,
@@ -152,7 +153,7 @@ def test_cycle_plus_complement_is_total_exactly(seed):
 )
 def test_pair_vector_kernel_matches_cycle_weight_exactly(n, mode, dim, seed):
     config = random_config(seed, n, dim, mode)
-    w = pair_weights(config.points)
+    w = exact(column_pair_weights(config.cols), config.den)
     assert ordered_sum(w) == total_weight(config)
     cycles = enumerate_cycles(n)
     assert len(cycle_edges(n)) == len(cycles)
@@ -180,8 +181,9 @@ def test_cycle_sums_match_cycle_weight_bit_for_bit(n, mode):
     configs.append(Configuration(((0.5, 0.25),) * (n - 1) + ((1.0, 0.0),), mode))
     for config in configs:
         expected = [cycle_weight(config, cycle) for cycle in enumerate_cycles(n)]
-        got = cycle_sums(pair_weights(config.points), n)
-        assert isinstance(got, list)
+        sums = cycle_sums(column_pair_weights(config.cols), n)
+        assert isinstance(sums, list)
+        got = exact(sums, config.den)
         assert list(map(repr, got)) == list(map(repr, expected))
 
 
@@ -236,9 +238,10 @@ def test_batched_weights_are_the_single_ones_end_to_end(n, mode, dim, seeds):
 
 
 def _assert_extremes_match_cycle_sums(points):
-    weights = cycle_sums(pair_weights(points), len(points))
+    w = column_pair_weights(list(zip(*points)))
+    weights = cycle_sums(w, len(points))
     expected = (min(weights), max(weights))
-    got = cycle_extremes(pair_weights(points), len(points))
+    got = cycle_extremes(w, len(points))
     assert got == expected
     assert tuple(map(type, got)) == tuple(map(type, expected))
     # repr tells float bits apart where == would not (-0.0)
@@ -298,6 +301,28 @@ def test_cycle_extremes_range():
     with pytest.raises(UsageError):
         cycle_extremes([0.0] * 55, 11)
     with pytest.raises(UsageError):
-        cycle_sums(pair_weights(((0.0, 0.0),) * 2), 2)
+        cycle_sums([0.0], 2)
     with pytest.raises(UsageError):
-        cycle_sums(pair_weights(tuple((float(k), 0.0) for k in range(11))), 11)
+        cycle_sums([0.0] * 55, 11)
+
+
+@st.composite
+def _weighed_configurations(draw):
+    """A drawn or a given configuration, float or rational, 2-D or 3-D, n = 3..10."""
+    mode = draw(st.sampled_from([FLOAT, RATIONAL]))
+    if draw(st.booleans()):
+        n, dim = draw(st.integers(3, 10)), draw(st.sampled_from((2, 3)))
+        return random_config(draw(st.integers(0, 2**64 - 1)), n, dim, mode)
+    coordinates = FRACTIONS if mode == RATIONAL else FLOATS
+    return Configuration(tuple(draw(_configurations(range(3, 11), coordinates))), mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighed_configurations())
+def test_total_weight_oracle_matches_the_kernel_on_the_carried_columns(config):
+    # total_weight sums squared_distance pair by pair, with no kernel call
+    kernel = exact_value(ordered_sum(column_pair_weights(config.cols)), config.den)
+    oracle = total_weight(config)
+    assert oracle == kernel and type(oracle) is type(kernel)
+    assert type(oracle) is (Fraction if config.mode == RATIONAL else float)
+    assert repr(oracle) == repr(kernel)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cycleweights import quadrilateral
+from cycleweights.bounds import check_bounds, duality_check
+from cycleweights.cycles import enumerate_cycles, total_weight
 from cycleweights.errors import UsageError
 from cycleweights.geometry import (
     FLOAT,
@@ -17,15 +20,15 @@ from cycleweights.geometry import (
     midpoint,
     normalized_points,
     ordered_sum,
-    pair_weights,
-    pairwise_weight,
     parse_points,
     random_columns,
     random_config,
     regular_polygon,
     squared_distance,
 )
+from cycleweights.pentagon import trace
 from cycleweights.prng import SplitMix64
+from cycleweights.quadrilateral import QuadLabeling, fuzz_identity, identity_terms
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 point2 = st.tuples(finite, finite)
@@ -183,10 +186,10 @@ def test_regular_polygon_square_and_pentagon():
     for k in range(4):
         assert abs(squared_distance(sq.points[k], sq.points[(k + 1) % 4]) - 2.0) < 1e-12
     pent = regular_polygon(5, 1.0)
-    assert abs(pairwise_weight(pent.points) - 25.0) < 1e-12
+    assert abs(total_weight(pent) - 25.0) < 1e-12
     # total weight scales with the squared radius
     pent2 = regular_polygon(5, 2.0)
-    assert abs(pairwise_weight(pent2.points) - 100.0) < 1e-10
+    assert abs(total_weight(pent2) - 100.0) < 1e-10
 
 
 def test_regular_polygon_validation():
@@ -202,7 +205,7 @@ def test_normalize_unit_weight_and_centroid():
     c = random_config(5, 6, 2)
     cols = normalized_points([list(col) for col in zip(*c.points)])
     points = tuple(zip(*cols))
-    assert abs(pairwise_weight(points) - 1.0) < 1e-12
+    assert abs(ordered_sum(column_pair_weights(cols)) - 1.0) < 1e-12
     for col in cols:
         assert abs(sum(col)) < 1e-12
     # idempotent up to rounding
@@ -270,7 +273,7 @@ def test_pairwise_weight_matches_direct_sum(seed):
         for i in range(5)
         for j in range(i + 1, 5)
     )
-    assert pairwise_weight(c.points) == direct
+    assert total_weight(c) == direct
 
 
 # The row-major loops that the column kernel replaced, kept as references.
@@ -318,7 +321,7 @@ def _point_sets(draw):
 @settings(max_examples=300)
 @given(_point_sets())
 def test_column_kernel_matches_row_loops(points):
-    assert repr(pair_weights(points)) == repr(_row_pair_weights(points))
+    assert repr(column_pair_weights(list(zip(*points)))) == repr(_row_pair_weights(points))
     cols = normalized_points([list(c) for c in zip(*points)])
     assert repr(cols if cols is None else tuple(zip(*cols))) == repr(_row_normalized_points(points))
 
@@ -332,10 +335,46 @@ def test_columns_clear_every_denominator(points):
     assert den == math.lcm(*(x.denominator for p in points for x in p))
     assert all(type(x) is int for col in cols for x in col)
     assert [tuple(Fraction(x, den) for x in p) for p in zip(*cols)] == points
-    assert column_pair_weights(cols) == [w * den * den for w in pair_weights(points)]
-    assert exact(column_pair_weights(cols), den) == tuple(pair_weights(points))
+    assert column_pair_weights(cols) == [w * den * den for w in _row_pair_weights(points)]
+    assert exact(column_pair_weights(cols), den) == tuple(_row_pair_weights(points))
     # float mode: the plain columns, whose weights are already values
     floats = [tuple(map(float, p)) for p in points]
     cols, den = columns(floats, FLOAT)
     assert den is None and cols == list(zip(*floats))
-    assert repr(exact(column_pair_weights(cols), den)) == repr(tuple(pair_weights(floats)))
+    assert repr(exact(column_pair_weights(cols), den)) == repr(tuple(_row_pair_weights(floats)))
+
+
+# draws whose every coordinate has an even numerator over 2**53, so that the
+# lcm den of their points is 2**52
+HALF_DEN_DRAWS = [(218, 4, 2), (51, 3, 2), (839, 5, 2)]
+
+
+@pytest.mark.parametrize("seed, n, dim", HALF_DEN_DRAWS + [
+    (218, 4, 3), (0, 5, 2), (1, 5, 3), (7, 4, 3), (51, 6, 2),
+])
+def test_drawn_and_parsed_configurations_weigh_the_same(monkeypatch, seed, n, dim):
+    drawn = random_config(seed, n, dim, RATIONAL)
+    parsed = parse_points(format_points(drawn))
+    assert parsed == drawn
+    # the draw keeps its own columns over 2**53; the parsed points take their lcm
+    assert (drawn.cols, drawn.den) == random_columns((seed,), n, dim, RATIONAL)
+    assert parsed.den == math.lcm(*(x.denominator for p in parsed.points for x in p))
+    assert (parsed.den == 2**52) == ((seed, n, dim) in HALF_DEN_DRAWS)
+    assert repr(check_bounds(drawn)) == repr(check_bounds(parsed))
+    if n == 5:
+        cycle = enumerate_cycles(5)[seed % 12]
+        assert repr(duality_check(drawn)) == repr(duality_check(parsed))
+        assert repr(trace(drawn, cycle, 6)) == repr(trace(parsed, cycle, 6))
+    if n == 4:
+        # the identity fuzz weighs the configuration it draws
+        seen = []
+
+        def kept(quad, _real=quadrilateral.identity_terms):
+            seen.append(_real(quad))
+            return seen[-1]
+
+        monkeypatch.setattr(quadrilateral, "random_config", lambda *args: drawn)
+        monkeypatch.setattr(quadrilateral, "identity_terms", kept)
+        assert fuzz_identity(seed, 1, dim, RATIONAL).violations == 0
+        expected = [identity_terms(QuadLabeling(parsed.points, p, RATIONAL)) for p in (0, 1, 2)]
+        assert list(map(repr, seen)) == list(map(repr, expected))
