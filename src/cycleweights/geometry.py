@@ -2,9 +2,9 @@
 
 A point is a plain tuple of scalars.  A configuration is an ordered,
 immutable collection of points sharing one dimension (2 or 3) and one
-scalar mode: mode ``"float"`` computes in binary64, mode ``"rational"``
-holds :class:`fractions.Fraction` coordinates; exact checks weigh them as
-ints (:func:`columns`, :func:`exact`) and decide on ints, with zero tolerance.
+scalar mode, held once as coordinate columns (:func:`columns`): mode ``"float"``
+computes in binary64; mode ``"rational"`` reads its points as Fractions, but
+weighs them as ints (:func:`exact`) and decides on ints, with zero tolerance.
 
 The edge weight between two points is the *squared* Euclidean distance,
 i.e. the sum of squared coordinate differences — no square roots appear
@@ -208,11 +208,13 @@ class Configuration(Record):
     """Ordered, immutable point set with one dimension and one scalar mode.
 
     ``dim`` is derived from the points; mixing dimensions or passing
-    fewer than three points is a usage error.  ``cols`` and ``den``, not
-    fields, hold :func:`columns` of the points, which every weighing reads.
+    fewer than three points is a usage error.  ``cols`` and ``den``, not fields,
+    hold :func:`columns` of the points, which every weighing reads and from
+    which the ``points`` field is read on each access.
     """
 
     _fields = ("points", "mode", "dim")
+    points = property(lambda self: exact_points(self.cols, self.den))
 
     def __init__(self, points, mode: str = FLOAT):
         if mode not in MODES:
@@ -227,11 +229,11 @@ class Configuration(Record):
         if dim not in (2, 3):
             raise UsageError("dimension must be 2 or 3")
         cols, den = columns(pts, mode)
-        vars(self).update(points=pts, mode=mode, dim=dim, cols=cols, den=den)
+        vars(self).update(mode=mode, dim=dim, cols=cols, den=den)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.cols[0])
 
 
 def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
@@ -254,13 +256,13 @@ def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
 
 def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configuration:
     """The configuration of :func:`random_columns` for one seed, so a seed pins
-    it exactly.  Rational mode keeps the 53-bit draws as dyadic fractions:
+    it exactly.  Rational mode keeps the 53-bit draws as ints over 2**53:
     both modes describe the identical point set.  ``cols`` and ``den`` are the
     draw's own, ``den`` 2**53 in rational mode, not the lcm :func:`columns` finds."""
-    # the draws need no coercion or checks: set the fields, skip __init__
+    # the draws need no coercion or checks: set the columns, skip __init__
     config = object.__new__(Configuration)
     cols, den = random_columns((seed,), n, dim, mode)
-    config.__dict__.update(points=exact_points(cols, den), mode=mode, dim=dim, cols=cols, den=den)
+    config.__dict__.update(mode=mode, dim=dim, cols=cols, den=den)
     return config
 
 

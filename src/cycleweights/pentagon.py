@@ -172,9 +172,9 @@ def quadruple_decomposition(config: Configuration, e_cycle: Cycle) -> tuple:
         raise UsageError("the decomposition needs exactly 5 points")
     if e_cycle.n != 5:
         raise UsageError("cycle size does not match configuration")
-    o = e_cycle.order
+    o, points = e_cycle.order, config.points
     out = []
     for i in range(5):
-        window = tuple(config.points[o[(i + k) % 5]] for k in range(4))
+        window = tuple(points[o[(i + k) % 5]] for k in range(4))
         out.append(identity_terms(QuadLabeling(window, 0, config.mode)))
     return tuple(out)

@@ -45,27 +45,20 @@ from .prng import MASK64, mix64
 _ORDERS = tuple(itemgetter(*order) for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)))
 
 
-def _columns(config: Configuration) -> tuple:
-    """The configuration's ``(cols, den)``, in rational mode over twice its
-    ``den``, so that every midpoint is an integer point."""
-    cols, den = config.cols, config.den
-    return (cols, den) if den is None else ([[2 * x for x in c] for c in cols], 2 * den)
-
-
 class QuadLabeling(Record):
-    """Four points plus a pairing choice and a scalar mode; ``cols`` and
-    ``den``, not fields, hold :func:`_columns` of their configuration."""
+    """Four points and a scalar mode, read from the :class:`Configuration` held
+    as ``config`` (not a field), plus a pairing choice."""
 
     _fields = ("points", "pairing", "mode")
+    points = property(lambda self: self.config.points)
+    mode = property(lambda self: self.config.mode)
 
     def __init__(self, points, pairing: int = 0, mode: str = FLOAT):
         if pairing not in (0, 1, 2):
             raise UsageError("pairing must be 0, 1, or 2")
         if len(points) != 4:
             raise UsageError("a quadrilateral labeling needs exactly 4 points")
-        config = Configuration(points, mode)
-        cols, den = _columns(config)
-        vars(self).update(points=config.points, pairing=pairing, mode=mode, cols=cols, den=den)
+        vars(self).update(config=Configuration(points, mode), pairing=pairing)
 
     def ordered(self) -> tuple:
         """Points as (A, B, C, D) for this pairing."""
@@ -119,22 +112,26 @@ _MIDSEGMENTS = itemgetter(1, 4, 0, 4, 1, 5, 0, 5, 0, 1, 0, 3)  # L2L5 L1L5 L2L6 
 
 
 def _weigh(quad: QuadLabeling, pairs) -> tuple:
-    """``(l, m)`` from one kernel call: l1..l6, and the weights of the midpoint
-    pairs that ``pairs`` gathers from L1..L6, in the number format of ``quad.den``."""
-    (ga, gb), half = _ENDS, truediv if quad.den is None else floordiv
+    """``(l, m, den)`` from one kernel call: l1..l6, and the weights of the midpoint
+    pairs that ``pairs`` gathers from L1..L6, over ``den``: the configuration's, or
+    in rational mode twice it, so that every midpoint is an integer point."""
+    cols, den = quad.config.cols, quad.config.den
+    if den is not None:
+        cols, den = [[2 * x for x in c] for c in cols], 2 * den
+    (ga, gb), half = _ENDS, truediv if den is None else floordiv
     cols = [[*_SEGMENTS(c), *pairs([half(x + y, 2) for x, y in zip(ga(c), gb(c))])]
-            for c in map(_ORDERS[quad.pairing], quad.cols)]
+            for c in map(_ORDERS[quad.pairing], cols)]
     w = column_pair_weights(cols, len(cols[0]) // 2)
-    return tuple(w[:6]), w[6:]
+    return tuple(w[:6]), w[6:], den
 
 
 def identity_terms(quad: QuadLabeling) -> IdentityTerms:
     """Evaluate every term of the relation for one labeling, on ints in rational mode."""
-    l_sq, (p_sq, q_sq, r_sq) = _weigh(quad, _PQR)
+    l_sq, (p_sq, q_sq, r_sq), den = _weigh(quad, _PQR)
     l1, l2, l3, l4, l5, l6 = l_sq
     rhs = l1 + l2 + l3 + l4
     lhs = 4 * r_sq + l5 + l6
-    return IdentityTerms(quad.pairing, l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs, quad.den)
+    return IdentityTerms(quad.pairing, l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs, den)
 
 
 def midpoint_parallelogram_relations(quad: QuadLabeling) -> tuple:
@@ -169,8 +166,8 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
     equal by the parallelogram structure, so one residual per segment
     suffices).
     """
-    l_sq, m = _weigh(quad, _MIDSEGMENTS)
-    return exact((4 * x - l for x, l in zip(m, l_sq)), quad.den)
+    l_sq, m, den = _weigh(quad, _MIDSEGMENTS)
+    return exact((4 * x - l for x, l in zip(m, l_sq)), den)
 
 
 def _verdict(t: IdentityTerms, tolerance: float) -> str:
@@ -217,12 +214,10 @@ def fuzz_identity(
     worst = 0.0
     for i in range(trials):
         config = random_config(mix64((seed + i) & MASK64), 4, dim, mode)
-        cols, den = _columns(config)
         for pairing in (0, 1, 2):
-            # the draw needs no coercion or checks: set the fields, skip __init__
+            # the draw needs no coercion or checks: hold it, skip __init__
             quad = object.__new__(QuadLabeling)
-            quad.__dict__.update(points=config.points, pairing=pairing, mode=mode,
-                                 cols=cols, den=den)
+            quad.__dict__.update(config=config, pairing=pairing)
             t = identity_terms(quad)
             violations += _verdict(t, tolerance) == VIOLATED
             if vars(t)["residual"]:

@@ -316,6 +316,12 @@ def test_sequence_check(capsys):
     assert "# verdict holds" in out
 
 
+def test_sequence_check_holds_at_the_largest_term_count(capsys):
+    code, out, _ = invoke(capsys, "sequence", "--terms", "7000", "--check")
+    assert code == 0
+    assert out.endswith("# verdict holds\n")
+
+
 def test_sequence_json(capsys):
     code, out, _ = invoke(capsys, "sequence", "--terms", "6", "--check", "--json")
     obj = json.loads(out)
@@ -558,6 +564,9 @@ def test_help_exits_zero(capsys):
         ("gen", "--out", "/nonexistent-dir/x"),
         ("optimize", "--conjecture", "--n-min", "6", "--n-max", "5"),
         ("sequence", "--terms", "7144"),
+        ("sequence", "--terms", "7001"),
+        ("verify", "--n", "10000000", "--fuzz", "1"),
+        ("verify", "--n", "11", "--fuzz", "1"),
         ("gen", "--n", "3", "--seed", "-1"),
         ("gen", "--n", "3", "--seed", "18446744073709551616"),
         ("gen", "--seed", "1.5"),

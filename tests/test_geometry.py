@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -136,6 +138,35 @@ def test_random_config_equals_a_checked_configuration():
                     checked = Configuration(c.points, mode)
                     assert c == checked and repr(c) == repr(checked)
                     assert [x for p in c.points for x in p] == units
+
+
+def test_a_point_set_is_held_once_as_columns(monkeypatch):
+    built = Configuration(((0, 0), (1, 2), (Fraction(1, 3), 5)), RATIONAL)
+    for c in (built, random_config(3, 5, 3, FLOAT), random_config(3, 4, 2, RATIONAL)):
+        assert set(vars(c)) == {"mode", "dim", "cols", "den"}
+    quad = QuadLabeling(((0, 0), (2, 0), (3, 2), (1, 3)), 1, RATIONAL)
+    assert set(vars(quad)) == {"config", "pairing"}
+    assert quad.points == quad.config.points and quad.mode == RATIONAL
+    # the identity fuzz's labelings, built without __init__, hold the same
+    held, real = [], quadrilateral.identity_terms
+    monkeypatch.setattr(quadrilateral, "identity_terms",
+                        lambda q: held.append(set(vars(q))) or real(q))
+    fuzz_identity(1, 2, 2, RATIONAL)
+    assert held == [{"config", "pairing"}] * 6
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n, dim", [(4, 2), (5, 3)])
+def test_drawn_configuration_copies_and_pickles_without_its_points(seed, n, dim):
+    # the drawn configuration's points are never read: each round trip
+    # carries the columns alone and reads the points from them
+    drawn = random_config(seed, n, dim, RATIONAL)
+    for clone in (copy.copy(drawn), copy.deepcopy(drawn), pickle.loads(pickle.dumps(drawn))):
+        assert set(vars(clone)) == {"mode", "dim", "cols", "den"}
+        assert (clone.cols, clone.den) == random_columns((seed,), n, dim, RATIONAL)
+        fresh = random_config(seed, n, dim, RATIONAL)
+        assert clone == fresh and repr(clone) == repr(fresh)
+    assert (drawn.cols, drawn.den) == random_columns((seed,), n, dim, RATIONAL)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
