@@ -256,12 +256,7 @@ def _cmd_identity(args) -> int:
 
     config = _configuration(args, 4)
     pairings = (0, 1, 2) if args.pairing == "all" else (int(args.pairing),)
-    reports = [
-        quad_mod.verify_identity(
-            quad_mod.QuadLabeling(config.points, p, config.mode), args.tol
-        )
-        for p in pairings
-    ]
+    reports = [quad_mod.verify_identity(config, p, args.tol) for p in pairings]
     violations = sum(r.verdict == VIOLATED for r in reports)
 
     def records():

@@ -36,7 +36,7 @@ from .geometry import (
     RATIONAL, Configuration, Exact, Record, column_pair_weights, exact_points,
     exact_value, ordered_sum,
 )
-from .quadrilateral import QuadLabeling, identity_terms
+from .quadrilateral import identity_terms
 
 
 class IterationState(Record):
@@ -176,5 +176,5 @@ def quadruple_decomposition(config: Configuration, e_cycle: Cycle) -> tuple:
     out = []
     for i in range(5):
         window = tuple(points[o[(i + k) % 5]] for k in range(4))
-        out.append(identity_terms(QuadLabeling(window, 0, config.mode)))
+        out.append(identity_terms(Configuration(window, config.mode), 0))
     return tuple(out)

@@ -16,10 +16,12 @@ midsegment relations of the form  4 |midpoint-midpoint|^2 = l_k.
 
 Which pair of the six segments plays the "diagonal" role is a labeling
 choice, not geometry: a 4-point set admits three pairings, indexed
-0, 1, 2.  Pairing 0 is the natural order given; 1 and 2 swap one point
-so each of the three perfect matchings of {A, B, C, D} takes its turn
-as the diagonal pair.  Rational mode evaluates every term on ints over twice
-the common denominator, and a term stays an int until it is read.
+0, 1, 2.  A labeling is a 4-point :class:`Configuration` and a pairing
+index, the two arguments of every labeling function here.  Pairing 0 is the
+natural order given; 1 and 2 swap one point so each of the three perfect
+matchings of {A, B, C, D} takes its turn as the diagonal pair.  Rational
+mode evaluates every term on ints over twice the common denominator, and
+a term stays an int until it is read.
 """
 
 from __future__ import annotations
@@ -43,26 +45,6 @@ from .prng import MASK64, mix64
 
 # vertex order (A, B, C, D) realizing each pairing of the input points
 _ORDERS = tuple(itemgetter(*order) for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)))
-
-
-class QuadLabeling(Record):
-    """Four points and a scalar mode, read from the :class:`Configuration` held
-    as ``config`` (not a field), plus a pairing choice."""
-
-    _fields = ("points", "pairing", "mode")
-    points = property(lambda self: self.config.points)
-    mode = property(lambda self: self.config.mode)
-
-    def __init__(self, points, pairing: int = 0, mode: str = FLOAT):
-        if pairing not in (0, 1, 2):
-            raise UsageError("pairing must be 0, 1, or 2")
-        if len(points) != 4:
-            raise UsageError("a quadrilateral labeling needs exactly 4 points")
-        vars(self).update(config=Configuration(points, mode), pairing=pairing)
-
-    def ordered(self) -> tuple:
-        """Points as (A, B, C, D) for this pairing."""
-        return _ORDERS[self.pairing](self.points)
 
 
 class IdentityTerms(Record):
@@ -111,30 +93,36 @@ _PQR = itemgetter(0, 2, 1, 3, 4, 5)  # p^2 = L1L3, q^2 = L2L4, r^2 = L5L6
 _MIDSEGMENTS = itemgetter(1, 4, 0, 4, 1, 5, 0, 5, 0, 1, 0, 3)  # L2L5 L1L5 L2L6 L1L6 L1L2 L1L4
 
 
-def _weigh(quad: QuadLabeling, pairs) -> tuple:
-    """``(l, m, den)`` from one kernel call: l1..l6, and the weights of the midpoint
-    pairs that ``pairs`` gathers from L1..L6, over ``den``: the configuration's, or
-    in rational mode twice it, so that every midpoint is an integer point."""
-    cols, den = quad.config.cols, quad.config.den
+def _weigh(config: Configuration, pairing: int, pairs) -> tuple:
+    """``(l, m, den)`` from one kernel call: l1..l6 of the labeling ``pairing`` of the
+    4-point ``config``, and the weights of the midpoint pairs that ``pairs`` gathers
+    from L1..L6, over ``den``: the configuration's, or in rational mode twice it, so
+    that every midpoint is an integer point.  Every labeling is weighed here, so
+    here it is refused unless it has exactly 4 points and a pairing of 0, 1 or 2."""
+    if type(pairing) is not int or pairing not in (0, 1, 2):
+        raise UsageError("pairing must be 0, 1, or 2")
+    if config.n != 4:
+        raise UsageError("a quadrilateral labeling needs exactly 4 points")
+    cols, den = config.cols, config.den
     if den is not None:
         cols, den = [[2 * x for x in c] for c in cols], 2 * den
     (ga, gb), half = _ENDS, truediv if den is None else floordiv
     cols = [[*_SEGMENTS(c), *pairs([half(x + y, 2) for x, y in zip(ga(c), gb(c))])]
-            for c in map(_ORDERS[quad.pairing], cols)]
+            for c in map(_ORDERS[pairing], cols)]
     w = column_pair_weights(cols, len(cols[0]) // 2)
     return tuple(w[:6]), w[6:], den
 
 
-def identity_terms(quad: QuadLabeling) -> IdentityTerms:
+def identity_terms(config: Configuration, pairing: int = 0) -> IdentityTerms:
     """Evaluate every term of the relation for one labeling, on ints in rational mode."""
-    l_sq, (p_sq, q_sq, r_sq), den = _weigh(quad, _PQR)
+    l_sq, (p_sq, q_sq, r_sq), den = _weigh(config, pairing, _PQR)
     l1, l2, l3, l4, l5, l6 = l_sq
     rhs = l1 + l2 + l3 + l4
     lhs = 4 * r_sq + l5 + l6
-    return IdentityTerms(quad.pairing, l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs, den)
+    return IdentityTerms(pairing, l_sq, p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs, den)
 
 
-def midpoint_parallelogram_relations(quad: QuadLabeling) -> tuple:
+def midpoint_parallelogram_relations(config: Configuration, pairing: int = 0) -> tuple:
     """Residuals of the three Varignon half-sum relations.
 
     With p^2 = |L1L3|^2, q^2 = |L2L4|^2, r^2 = |L5L6|^2:
@@ -145,7 +133,7 @@ def midpoint_parallelogram_relations(quad: QuadLabeling) -> tuple:
 
     Returns the three lhs - rhs residuals in that order.
     """
-    t = identity_terms(quad)
+    t = identity_terms(config, pairing)
     l1, l2, l3, l4, l5, l6 = t.l_sq
     return (
         (l5 + l6) / 2 - (t.p_sq + t.q_sq),
@@ -154,7 +142,7 @@ def midpoint_parallelogram_relations(quad: QuadLabeling) -> tuple:
     )
 
 
-def midsegment_relations(quad: QuadLabeling) -> tuple:
+def midsegment_relations(config: Configuration, pairing: int = 0) -> tuple:
     """Residuals 4|LiLj|^2 - l_k for the six midsegment equalities.
 
     Each segment's weight equals four times the squared distance
@@ -166,7 +154,7 @@ def midsegment_relations(quad: QuadLabeling) -> tuple:
     equal by the parallelogram structure, so one residual per segment
     suffices).
     """
-    l_sq, m, den = _weigh(quad, _MIDSEGMENTS)
+    l_sq, m, den = _weigh(config, pairing, _MIDSEGMENTS)
     return exact((4 * x - l for x, l in zip(m, l_sq)), den)
 
 
@@ -188,10 +176,12 @@ def _verdict(t: IdentityTerms, tolerance: float) -> str:
     return HOLDS if relative_residual(held["residual"], lhs, rhs) <= tolerance else VIOLATED
 
 
-def verify_identity(quad: QuadLabeling, tolerance: float = REL_TOL_DERIVED) -> IdentityReport:
+def verify_identity(
+    config: Configuration, pairing: int = 0, tolerance: float = REL_TOL_DERIVED,
+) -> IdentityReport:
     """Check the relation for one labeling by :func:`_verdict`'s rule."""
-    t = identity_terms(quad)
-    return IdentityReport(_verdict(t, tolerance), t, tolerance, quad.mode)
+    t = identity_terms(config, pairing)
+    return IdentityReport(_verdict(t, tolerance), t, tolerance, config.mode)
 
 
 def fuzz_identity(
@@ -215,10 +205,7 @@ def fuzz_identity(
     for i in range(trials):
         config = random_config(mix64((seed + i) & MASK64), 4, dim, mode)
         for pairing in (0, 1, 2):
-            # the draw needs no coercion or checks: hold it, skip __init__
-            quad = object.__new__(QuadLabeling)
-            quad.__dict__.update(config=config, pairing=pairing)
-            t = identity_terms(quad)
+            t = identity_terms(config, pairing)
             violations += _verdict(t, tolerance) == VIOLATED
             if vars(t)["residual"]:
                 worst = max(worst, float(relative_residual(t.residual, t.lhs, t.rhs)))

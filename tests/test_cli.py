@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycleweights
+from cycleweights import geometry
 from cycleweights.bounds import has_ratio
 from cycleweights.checks import relative_residual
 from cycleweights.cli import run
@@ -229,6 +230,21 @@ def test_identity_file_violates_exactly_where_the_residual_exceeds_tol(capsys, t
         obj = json.loads(out)
         assert [r["verdict"] == "violated" for r in obj["rows"]] == [r > tol for r in rel]
         assert (obj["violations"] > 0) == (max(rel) > tol) == (code == 1)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_identity_file_builds_its_point_set_once(capsys, monkeypatch, json_flag):
+    # every pairing weighs the parsed configuration: one columns build, no
+    # Fraction points read back from it
+    calls = dict.fromkeys(("columns", "exact_points"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(geometry, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    code, out, _ = invoke(capsys, "identity", "--in", QUAD_RATIONAL, *json_flag)
+    assert code == 0 and out.count("holds") == 3
+    assert calls == {"columns": 1, "exact_points": 0}
 
 
 def test_identity_usage_errors(capsys, tmp_path):

@@ -30,7 +30,7 @@ from cycleweights.geometry import (
 )
 from cycleweights.pentagon import trace
 from cycleweights.prng import SplitMix64
-from cycleweights.quadrilateral import QuadLabeling, fuzz_identity, identity_terms
+from cycleweights.quadrilateral import fuzz_identity, identity_terms
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 point2 = st.tuples(finite, finite)
@@ -140,19 +140,10 @@ def test_random_config_equals_a_checked_configuration():
                     assert [x for p in c.points for x in p] == units
 
 
-def test_a_point_set_is_held_once_as_columns(monkeypatch):
+def test_a_point_set_is_held_once_as_columns():
     built = Configuration(((0, 0), (1, 2), (Fraction(1, 3), 5)), RATIONAL)
     for c in (built, random_config(3, 5, 3, FLOAT), random_config(3, 4, 2, RATIONAL)):
         assert set(vars(c)) == {"mode", "dim", "cols", "den"}
-    quad = QuadLabeling(((0, 0), (2, 0), (3, 2), (1, 3)), 1, RATIONAL)
-    assert set(vars(quad)) == {"config", "pairing"}
-    assert quad.points == quad.config.points and quad.mode == RATIONAL
-    # the identity fuzz's labelings, built without __init__, hold the same
-    held, real = [], quadrilateral.identity_terms
-    monkeypatch.setattr(quadrilateral, "identity_terms",
-                        lambda q: held.append(set(vars(q))) or real(q))
-    fuzz_identity(1, 2, 2, RATIONAL)
-    assert held == [{"config", "pairing"}] * 6
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
@@ -400,12 +391,12 @@ def test_drawn_and_parsed_configurations_weigh_the_same(monkeypatch, seed, n, di
         # the identity fuzz weighs the configuration it draws
         seen = []
 
-        def kept(quad, _real=quadrilateral.identity_terms):
-            seen.append(_real(quad))
+        def kept(config, pairing, _real=quadrilateral.identity_terms):
+            seen.append(_real(config, pairing))
             return seen[-1]
 
         monkeypatch.setattr(quadrilateral, "random_config", lambda *args: drawn)
         monkeypatch.setattr(quadrilateral, "identity_terms", kept)
         assert fuzz_identity(seed, 1, dim, RATIONAL).violations == 0
-        expected = [identity_terms(QuadLabeling(parsed.points, p, RATIONAL)) for p in (0, 1, 2)]
+        expected = [identity_terms(parsed, p) for p in (0, 1, 2)]
         assert list(map(repr, seen)) == list(map(repr, expected))

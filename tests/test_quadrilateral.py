@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from cycleweights import quadrilateral
 from cycleweights.checks import HOLDS, VIOLATED, relative_residual
 from cycleweights.errors import DegenerateError, UsageError
-from cycleweights.geometry import FLOAT, RATIONAL, midpoint, random_config, squared_distance
+from cycleweights.geometry import (
+    FLOAT, RATIONAL, Configuration, midpoint, random_config, squared_distance,
+)
 from cycleweights.prng import MASK64, mix64
 from cycleweights.quadrilateral import (
     IdentityTerms,
-    QuadLabeling,
     fuzz_identity,
     identity_terms,
     midpoint_parallelogram_relations,
@@ -29,9 +30,18 @@ fquad = st.tuples(fpoint, fpoint, fpoint, fpoint)
 # worked example: A(0,0) B(2,0) C(3,2) D(1,3)
 HAND = ((0, 0), (2, 0), (3, 2), (1, 3))
 
+# the vertex order (A, B, C, D) of each pairing, held apart from the code under test
+ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+
+def _ordered(config, pairing):
+    """The points of ``config`` as (A, B, C, D) for ``pairing``."""
+    points = config.points
+    return tuple(points[k] for k in ORDERS[pairing])
+
 
 def test_hand_example_exact_terms():
-    t = identity_terms(QuadLabeling(HAND, 0, RATIONAL))
+    t = identity_terms(Configuration(HAND, RATIONAL), 0)
     assert t.l_sq == (4, 5, 5, 10, 13, 10)
     assert t.p_sq == Fraction(29, 4)
     assert t.q_sq == Fraction(17, 4)
@@ -40,12 +50,12 @@ def test_hand_example_exact_terms():
 
 
 def test_hand_example_float_close():
-    t = identity_terms(QuadLabeling(HAND, 0, FLOAT))
+    t = identity_terms(Configuration(HAND, FLOAT), 0)
     assert t.lhs == 24.0 and t.rhs == 24.0 and t.residual == 0.0
 
 
 def test_unit_square_terms():
-    t = identity_terms(QuadLabeling(((0, 0), (1, 0), (1, 1), (0, 1)), 0, RATIONAL))
+    t = identity_terms(Configuration(((0, 0), (1, 0), (1, 1), (0, 1)), RATIONAL), 0)
     assert t.l_sq == (1, 1, 1, 1, 2, 2)
     # diagonal midpoints coincide: the parallelogram law case
     assert t.r_sq == 0
@@ -62,25 +72,25 @@ def test_all_pairings_hold_on_assorted_shapes():
     ]
     for pts in shapes:
         for pairing in (0, 1, 2):
-            rep = verify_identity(QuadLabeling(pts, pairing, RATIONAL))
+            rep = verify_identity(Configuration(pts, RATIONAL), pairing)
             assert rep.verdict == HOLDS
             assert rep.terms.residual == 0
 
 
 def test_coincident_points_all_zero():
-    t = identity_terms(QuadLabeling(((1.5, 2.5),) * 4, 0, FLOAT))
+    t = identity_terms(Configuration(((1.5, 2.5),) * 4, FLOAT), 0)
     assert t.lhs == 0.0 and t.rhs == 0.0 and t.residual == 0.0
 
 
 @given(rquad, st.sampled_from([0, 1, 2]))
 def test_identity_exact_on_rationals(pts, pairing):
-    t = identity_terms(QuadLabeling(pts, pairing, RATIONAL))
+    t = identity_terms(Configuration(pts, RATIONAL), pairing)
     assert t.residual == 0
 
 
 @given(fquad, st.sampled_from([0, 1, 2]))
 def test_identity_tight_in_float(pts, pairing):
-    t = identity_terms(QuadLabeling(pts, pairing, FLOAT))
+    t = identity_terms(Configuration(pts, FLOAT), pairing)
     assert abs(t.residual) <= 1e-12 * (1 + abs(t.lhs) + abs(t.rhs))
 
 
@@ -89,7 +99,7 @@ def test_pairings_permute_the_midpoint_triple(pts):
     triples = [
         sorted(
             (lambda t: (t.p_sq, t.q_sq, t.r_sq))(
-                identity_terms(QuadLabeling(pts, pairing, RATIONAL))
+                identity_terms(Configuration(pts, RATIONAL), pairing)
             )
         )
         for pairing in (0, 1, 2)
@@ -99,17 +109,17 @@ def test_pairings_permute_the_midpoint_triple(pts):
 
 @given(rquad, st.sampled_from([0, 1, 2]))
 def test_parallelogram_and_midsegment_relations_exact(pts, pairing):
-    q = QuadLabeling(pts, pairing, RATIONAL)
-    assert midpoint_parallelogram_relations(q) == (0, 0, 0)
-    assert midsegment_relations(q) == (0, 0, 0, 0, 0, 0)
+    q = Configuration(pts, RATIONAL)
+    assert midpoint_parallelogram_relations(q, pairing) == (0, 0, 0)
+    assert midsegment_relations(q, pairing) == (0, 0, 0, 0, 0, 0)
 
 
 @given(rquad)
 def test_midsegment_mirror_twins(pts):
     # each midsegment relation has a mirror: |L2L5|=|L4L6| etc.
-    q = QuadLabeling(pts, 0, RATIONAL)
-    a, b, c, d = q.ordered()
-    l_sq = identity_terms(q).l_sq
+    q = Configuration(pts, RATIONAL)
+    a, b, c, d = _ordered(q, 0)
+    l_sq = identity_terms(q, 0).l_sq
     m1, m2, m3, m4 = midpoint(a, b), midpoint(b, c), midpoint(c, d), midpoint(d, a)
     m5, m6 = midpoint(a, c), midpoint(b, d)
     twins = [(m4, m6), (m3, m6), (m4, m5), (m3, m5), (m3, m4), (m2, m3)]
@@ -120,7 +130,7 @@ def test_midsegment_mirror_twins(pts):
 @given(rquad)
 def test_diagonal_sum_bounded_by_cycle_sum(pts):
     # corollary of the relation: l5 + l6 <= l1 + l2 + l3 + l4
-    t = identity_terms(QuadLabeling(pts, 0, RATIONAL))
+    t = identity_terms(Configuration(pts, RATIONAL), 0)
     l1, l2, l3, l4, l5, l6 = t.l_sq
     assert l5 + l6 <= l1 + l2 + l3 + l4
 
@@ -134,40 +144,60 @@ def test_parallelogram_attains_equality(a, u, v):
         tuple(x + y + z for x, y, z in zip(a, u, v)),
         tuple(x + z for x, z in zip(a, v)),
     )
-    t = identity_terms(QuadLabeling(pts, 0, RATIONAL))
+    t = identity_terms(Configuration(pts, RATIONAL), 0)
     assert t.r_sq == 0
     l1, l2, l3, l4, l5, l6 = t.l_sq
     assert l5 + l6 == l1 + l2 + l3 + l4
 
 
 def test_verify_identity_tolerance_validation():
-    q = QuadLabeling(HAND, 0, FLOAT)
+    q = Configuration(HAND, FLOAT)
     with pytest.raises(UsageError):
-        verify_identity(q, 0.0)
+        verify_identity(q, 0, 0.0)
     with pytest.raises(UsageError):
-        verify_identity(q, -1e-9)
+        verify_identity(q, 0, -1e-9)
 
 
 @pytest.mark.parametrize("big", [1e200, 1e154])
 @pytest.mark.parametrize("pairing", [0, 1, 2])
 def test_verify_identity_refuses_overflowing_float_terms(big, pairing):
     # every l_sq overflows at 1e200; at 1e154 some are finite, but lhs and rhs are not
-    q = QuadLabeling(((big, 0.0), (0.0, big), (0.0, 0.0), (big, big)), pairing, FLOAT)
+    q = Configuration(((big, 0.0), (0.0, big), (0.0, 0.0), (big, big)), FLOAT)
     with pytest.raises(DegenerateError):
-        verify_identity(q)
+        verify_identity(q, pairing)
+
+
+LABELINGS = (identity_terms, verify_identity, midpoint_parallelogram_relations,
+             midsegment_relations)
 
 
 def test_quad_labeling_validation():
+    for labeling in LABELINGS:
+        with pytest.raises(UsageError):
+            labeling(Configuration(((0, 0), (1, 0), (0, 1))))
+        with pytest.raises(UsageError):
+            labeling(Configuration(((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))))
+        with pytest.raises(UsageError):
+            labeling(Configuration(HAND), 3)
     with pytest.raises(UsageError):
-        QuadLabeling(((0, 0), (1, 0), (0, 1)))
+        identity_terms(Configuration(((0, 0), (1, 0), (0, 1), (1, 1, 1))))
     with pytest.raises(UsageError):
-        QuadLabeling(((0, 0),) * 5)
-    with pytest.raises(UsageError):
-        QuadLabeling(HAND, 3)
-    with pytest.raises(UsageError):
-        QuadLabeling(((0, 0), (1, 0), (0, 1), (1, 1, 1)))
-    with pytest.raises(UsageError):
-        QuadLabeling(HAND, 0, "decimal")
+        identity_terms(Configuration(HAND, "decimal"))
+
+
+@pytest.mark.parametrize("pairing", [0.0, True, 3, -1, "1"])
+def test_a_labeling_takes_only_the_int_pairings(pairing):
+    for labeling in LABELINGS:
+        with pytest.raises(UsageError, match="pairing"):
+            labeling(Configuration(HAND), pairing)
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 0.0])
+def test_a_tolerance_passed_as_the_pairing_is_refused(tolerance):
+    # verify_identity(config, pairing, tolerance): a positional tolerance in the
+    # pairing's place is a usage error, not a silent pairing 0
+    with pytest.raises(UsageError, match="pairing"):
+        verify_identity(Configuration(HAND), tolerance)
 
 
 def test_fuzz_identity_deterministic_and_clean():
@@ -202,7 +232,7 @@ def test_fuzz_identity_validation():
 
 
 def test_verdict_labels():
-    rep = verify_identity(QuadLabeling(HAND, 1, FLOAT))
+    rep = verify_identity(Configuration(HAND, FLOAT), 1)
     assert rep.verdict in (HOLDS, VIOLATED)
     assert rep.verdict == HOLDS
 
@@ -210,9 +240,9 @@ def test_verdict_labels():
 # --- the exact terms against the Fraction arithmetic they replaced ----------
 
 
-def _reference_terms(quad):
+def _reference_terms(config, pairing):
     """identity_terms as it was: Fraction midpoints and squared distances."""
-    a, b, c, d = quad.ordered()
+    a, b, c, d = _ordered(config, pairing)
     l1, l2, l3 = squared_distance(a, b), squared_distance(b, c), squared_distance(c, d)
     l4, l5, l6 = squared_distance(d, a), squared_distance(a, c), squared_distance(b, d)
     m1, m3 = midpoint(a, b), midpoint(c, d)
@@ -222,7 +252,7 @@ def _reference_terms(quad):
     rhs = l1 + l2 + l3 + l4
     lhs = 4 * r_sq + l5 + l6
     return IdentityTerms(
-        quad.pairing, (l1, l2, l3, l4, l5, l6), p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs
+        pairing, (l1, l2, l3, l4, l5, l6), p_sq, q_sq, r_sq, lhs, rhs, lhs - rhs
     )
 
 
@@ -242,33 +272,34 @@ def _small_quads(draw):
 @given(_small_quads())
 def test_exact_terms_match_the_fraction_arithmetic(pts):
     for pairing in (0, 1, 2):
-        quad = QuadLabeling(pts, pairing, RATIONAL)
-        terms = identity_terms(quad)
-        assert repr(terms) == repr(_reference_terms(quad))
+        quad = Configuration(pts, RATIONAL)
+        terms = identity_terms(quad, pairing)
+        assert repr(terms) == repr(_reference_terms(quad, pairing))
         assert all(isinstance(v, Fraction) for v in (*terms.l_sq, terms.r_sq, terms.residual))
         # the float arm keeps its bits
-        quad = QuadLabeling(pts, pairing, FLOAT)
-        assert repr(identity_terms(quad)) == repr(_reference_terms(quad))
+        quad = Configuration(pts, FLOAT)
+        assert repr(identity_terms(quad, pairing)) == repr(_reference_terms(quad, pairing))
 
 
 def test_quad_labeling_refuses_points_a_configuration_refuses():
+    # a labeling's points are a Configuration's, refused before any weighing
     with pytest.raises(UsageError):
-        QuadLabeling(((0, 0), (1, 0), (0, 1), (float("inf"), 1)))
+        Configuration(((0, 0), (1, 0), (0, 1), (float("inf"), 1)))
     with pytest.raises(UsageError):
-        QuadLabeling(((0, 0), (1, 0), (0, 1), (float("nan"), 1)), 0, RATIONAL)
+        Configuration(((0, 0), (1, 0), (0, 1), (float("nan"), 1)), RATIONAL)
     with pytest.raises(UsageError):
-        QuadLabeling(((0,), (1,), (2,), (3,)))
+        Configuration(((0,), (1,), (2,), (3,)))
     with pytest.raises(UsageError):
-        QuadLabeling(((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), 0, RATIONAL)
+        Configuration(((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), RATIONAL)
 
 
 # --- the midpoint relations against per-pair loops --------------------------
 
 
-def _reference_relations(quad):
+def _reference_relations(config, pairing):
     """midpoint_parallelogram_relations and midsegment_relations, each
     written as per-pair midpoint and squared_distance calls."""
-    a, b, c, d = quad.ordered()
+    a, b, c, d = _ordered(config, pairing)
     l1, l2, l3 = squared_distance(a, b), squared_distance(b, c), squared_distance(c, d)
     l4, l5, l6 = squared_distance(d, a), squared_distance(a, c), squared_distance(b, d)
     m1, m2, m3 = midpoint(a, b), midpoint(b, c), midpoint(c, d)
@@ -303,19 +334,20 @@ def _float_quads(draw):
 def test_midpoint_relations_match_the_per_pair_loops(small_pts, float_pts):
     for pts, mode in ((small_pts, RATIONAL), (small_pts, FLOAT), (float_pts, FLOAT)):
         for pairing in (0, 1, 2):
-            quad = QuadLabeling(pts, pairing, mode)
-            got = (midpoint_parallelogram_relations(quad), midsegment_relations(quad))
-            assert repr(got) == repr(_reference_relations(quad))
+            quad = Configuration(pts, mode)
+            got = (midpoint_parallelogram_relations(quad, pairing),
+                   midsegment_relations(quad, pairing))
+            assert repr(got) == repr(_reference_relations(quad, pairing))
 
 
 # --- the identity fuzz stays on ints ----------------------------------------
 
 
 def test_exact_terms_are_held_as_ints_and_read_as_fractions():
-    quad = QuadLabeling(HAND, 0, RATIONAL)
-    terms = identity_terms(quad)
+    quad = Configuration(HAND, RATIONAL)
+    terms = identity_terms(quad, 0)
     assert all(type(v) is int for v in (*vars(terms)["l_sq"], vars(terms)["residual"]))
-    reference = _reference_terms(quad)
+    reference = _reference_terms(quad, 0)
     assert terms == reference and hash(terms) == hash(reference)
 
 
@@ -382,18 +414,18 @@ def test_float_fuzz_judges_a_perturbed_kernel_as_verify_identity_does(monkeypatc
     with pytest.raises(DegenerateError):
         fuzz_identity(9, 30)
     with pytest.raises(DegenerateError):
-        verify_identity(QuadLabeling(HAND))
+        verify_identity(Configuration(HAND))
 
 
 def _reference_fuzz(seed, trials, dim, mode, tolerance=1e-9):
     """fuzz_identity trial by trial, each pairing labeled from the bare points
-    through QuadLabeling's checks and decided by verify_identity."""
+    through Configuration's checks and decided by verify_identity."""
     violations = 0
     worst = 0.0
     for i in range(trials):
         points = random_config(mix64((seed + i) & MASK64), 4, dim, mode).points
         for pairing in (0, 1, 2):
-            report = verify_identity(QuadLabeling(points, pairing, mode), tolerance)
+            report = verify_identity(Configuration(points, mode), pairing, tolerance)
             t = report.terms
             violations += report.verdict == VIOLATED
             worst = max(worst, float(relative_residual(t.residual, t.lhs, t.rhs)))

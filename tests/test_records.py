@@ -14,9 +14,7 @@ from cycleweights.cycles import canonicalize
 from cycleweights.extremal import conjecture_table, optimize
 from cycleweights.geometry import RATIONAL, Configuration
 from cycleweights.pentagon import init_state, trace
-from cycleweights.quadrilateral import (
-    QuadLabeling, fuzz_identity, identity_terms, verify_identity,
-)
+from cycleweights.quadrilateral import fuzz_identity, identity_terms, verify_identity
 from cycleweights.sequences import check_sequence_properties, sequence_table
 
 P4 = ((0, 0), (2, 0), (3, 2), (1, 3))
@@ -24,7 +22,7 @@ P5 = (*P4, (-1, 1))
 
 
 def _quad():
-    return QuadLabeling(P4, 0, RATIONAL)
+    return Configuration(P4, RATIONAL)
 
 
 # type name: (build one instance, a field, repr of the instance)
@@ -39,14 +37,8 @@ CASES = {
         lambda: canonicalize((0, 2, 1, 3)), "order",
         'Cycle(order=(0, 2, 1, 3))',
     ),
-    "QuadLabeling": (
-        _quad, "pairing",
-        'QuadLabeling(points=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1),'
-        ' Fraction(0, 1)), (Fraction(3, 1), Fraction(2, 1)), (Fraction(1, 1),'
-        " Fraction(3, 1))), pairing=0, mode='rational')",
-    ),
     "IdentityTerms": (
-        lambda: identity_terms(_quad()), "p_sq",
+        lambda: identity_terms(_quad(), 0), "p_sq",
         'IdentityTerms(pairing=0, l_sq=(Fraction(4, 1), Fraction(5, 1),'
         ' Fraction(5, 1), Fraction(10, 1), Fraction(13, 1), Fraction(10, 1)),'
         ' p_sq=Fraction(29, 4), q_sq=Fraction(17, 4), r_sq=Fraction(1, 4),'
@@ -172,7 +164,7 @@ CASES = {
         ' max_cycle_value=0.9848309925813805)',
     ),
     "IdentityReport": (
-        lambda: verify_identity(_quad()), "verdict",
+        lambda: verify_identity(_quad(), 0), "verdict",
         "IdentityReport(verdict='holds', terms=IdentityTerms(pairing=0,"
         ' l_sq=(Fraction(4, 1), Fraction(5, 1), Fraction(5, 1), Fraction(10, 1),'
         ' Fraction(13, 1), Fraction(10, 1)), p_sq=Fraction(29, 4),'
@@ -252,5 +244,5 @@ def test_equal_instances_hash_equal(case):
     copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
 ])
 def test_exact_terms_survive_a_copy(duplicate):
-    terms = duplicate(identity_terms(_quad()))
+    terms = duplicate(identity_terms(_quad(), 0))
     assert terms.p_sq == Fraction(29, 4) and terms.l_sq[4] == 13
