@@ -98,7 +98,7 @@ def _weigh(config: Configuration, pairing: int, pairs) -> tuple:
     4-point ``config``, and the weights of the midpoint pairs that ``pairs`` gathers
     from L1..L6, over ``den``: the configuration's, or in rational mode twice it, so
     that every midpoint is an integer point.  Every labeling is weighed here, so
-    here it is refused unless it has exactly 4 points and a pairing of 0, 1 or 2."""
+    here one is refused unless it has exactly 4 points and the int pairing 0, 1 or 2."""
     if type(pairing) is not int or pairing not in (0, 1, 2):
         raise UsageError("pairing must be 0, 1, or 2")
     if config.n != 4:

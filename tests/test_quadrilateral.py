@@ -152,9 +152,9 @@ def test_parallelogram_attains_equality(a, u, v):
 
 def test_verify_identity_tolerance_validation():
     q = Configuration(HAND, FLOAT)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="tolerance"):
         verify_identity(q, 0, 0.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="tolerance"):
         verify_identity(q, 0, -1e-9)
 
 
@@ -177,27 +177,18 @@ def test_quad_labeling_validation():
             labeling(Configuration(((0, 0), (1, 0), (0, 1))))
         with pytest.raises(UsageError):
             labeling(Configuration(((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))))
-        with pytest.raises(UsageError):
-            labeling(Configuration(HAND), 3)
     with pytest.raises(UsageError):
         identity_terms(Configuration(((0, 0), (1, 0), (0, 1), (1, 1, 1))))
     with pytest.raises(UsageError):
         identity_terms(Configuration(HAND, "decimal"))
 
 
-@pytest.mark.parametrize("pairing", [0.0, True, 3, -1, "1"])
+# 0.0 and 1e-9 are also what a tolerance passed in the pairing's place gives
+@pytest.mark.parametrize("pairing", [0.0, 1e-9, True, 3, -1, "1"])
 def test_a_labeling_takes_only_the_int_pairings(pairing):
     for labeling in LABELINGS:
         with pytest.raises(UsageError, match="pairing"):
             labeling(Configuration(HAND), pairing)
-
-
-@pytest.mark.parametrize("tolerance", [1e-9, 0.0])
-def test_a_tolerance_passed_as_the_pairing_is_refused(tolerance):
-    # verify_identity(config, pairing, tolerance): a positional tolerance in the
-    # pairing's place is a usage error, not a silent pairing 0
-    with pytest.raises(UsageError, match="pairing"):
-        verify_identity(Configuration(HAND), tolerance)
 
 
 def test_fuzz_identity_deterministic_and_clean():
