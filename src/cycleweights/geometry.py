@@ -236,6 +236,14 @@ class Configuration(Record):
         return len(self.cols[0])
 
 
+def from_columns(cols, den, mode: str) -> Configuration:
+    """The Configuration carrying ``cols`` and ``den`` as they are, for columns that need
+    no checks (a draw's, or a Configuration's own): it builds and coerces no point."""
+    config = object.__new__(Configuration)
+    config.__dict__.update(mode=mode, dim=len(cols), cols=cols, den=den)
+    return config
+
+
 def random_columns(seeds, n: int, dim: int = 2, mode: str = FLOAT) -> tuple:
     """``(cols, den)`` of one configuration per seed, laid end to end for
     ``column_pair_weights(cols, len(seeds))``: n points uniform in the unit
@@ -259,11 +267,7 @@ def random_config(seed: int, n: int, dim: int = 2, mode: str = FLOAT) -> Configu
     it exactly.  Rational mode keeps the 53-bit draws as ints over 2**53:
     both modes describe the identical point set.  ``cols`` and ``den`` are the
     draw's own, ``den`` 2**53 in rational mode, not the lcm :func:`columns` finds."""
-    # the draws need no coercion or checks: set the columns, skip __init__
-    config = object.__new__(Configuration)
-    cols, den = random_columns((seed,), n, dim, mode)
-    config.__dict__.update(mode=mode, dim=dim, cols=cols, den=den)
-    return config
+    return from_columns(*random_columns((seed,), n, dim, mode), mode)
 
 
 def regular_polygon(n: int, circumradius: float = 1.0) -> Configuration:

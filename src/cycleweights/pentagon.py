@@ -34,7 +34,7 @@ from .cycles import Cycle, complement_cycle, cycle_sums, enumerate_cycles
 from .errors import DegenerateError, UsageError
 from .geometry import (
     RATIONAL, Configuration, Exact, Record, column_pair_weights, exact_points,
-    exact_value, ordered_sum,
+    exact_value, from_columns, ordered_sum,
 )
 from .quadrilateral import identity_terms
 
@@ -172,9 +172,7 @@ def quadruple_decomposition(config: Configuration, e_cycle: Cycle) -> tuple:
         raise UsageError("the decomposition needs exactly 5 points")
     if e_cycle.n != 5:
         raise UsageError("cycle size does not match configuration")
-    o, points = e_cycle.order, config.points
-    out = []
-    for i in range(5):
-        window = tuple(points[o[(i + k) % 5]] for k in range(4))
-        out.append(identity_terms(Configuration(window, config.mode), 0))
-    return tuple(out)
+    o = e_cycle.order * 2
+    windows = (operator.itemgetter(*o[i:i + 4]) for i in range(5))
+    return tuple(identity_terms(from_columns([w(c) for c in config.cols], config.den, config.mode))
+                 for w in windows)

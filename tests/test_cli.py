@@ -87,6 +87,14 @@ def test_verify_stdin(capsys, monkeypatch):
     assert code == 0 and "holds-with-equality" in out
 
 
+def test_identity_stdin_overflow_is_degenerate(capsys, monkeypatch):
+    huge = "points 4 dim 2 mode float\n1e200 0\n0 1e200\n0 0\n1e200 1e200\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(huge))
+    code, out, err = invoke(capsys, "identity", "--in", "-")
+    assert code == 3 and out == ""
+    assert "degenerate input:" in err and "Traceback" not in err
+
+
 def test_verify_json_lines(capsys, tmp_path):
     path = tmp_path / "sq.txt"
     path.write_text(SQUARE_FILE)
@@ -333,7 +341,9 @@ def test_sequence_check(capsys):
 
 
 def test_sequence_check_holds_at_the_largest_term_count(capsys):
+    start = time.perf_counter()
     code, out, _ = invoke(capsys, "sequence", "--terms", "7000", "--check")
+    assert time.perf_counter() - start < 60
     assert code == 0
     assert out.endswith("# verdict holds\n")
 
@@ -630,6 +640,13 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_a_huge_point_count_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "verify", "--n", "10000000", "--fuzz", "1")
+    assert time.perf_counter() - start < 20
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [("gen", "--n", "4"), ("verify", "--n", "4", "--fuzz", "20")],
@@ -785,14 +802,21 @@ def test_every_argument_vector_ends_in_a_contract_exit_code(argv):
 def test_module_entry_point_exit_codes():
     paths = [str(Path(cycleweights.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    cmd = [sys.executable, "-m", "cycleweights"]
-    held = subprocess.run([*cmd, "pentagon", "--check", "--json"], capture_output=True,
-                          text=True, env=env, timeout=60)
+    # the console script adds only this mapping of run's result to the exit status
+    def call(*argv):
+        return subprocess.run([sys.executable, "-m", "cycleweights", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+    held = call("pentagon", "--check", "--json")
     assert held.returncode == 0
     assert json.loads(held.stdout)["check"]["lower_ok"] is True
-    usage = subprocess.run([*cmd, "verify"], capture_output=True, text=True, env=env, timeout=60)
+    violated = call("verify", "--in", PENT_FLOAT, "--duality", "--tol", "1e-300")
+    assert violated.returncode == 1 and "duality verdict violated" in violated.stdout
+    usage = call("verify")
     assert usage.returncode == 2
     assert "error:" in usage.stderr and "Traceback" not in usage.stderr
+    degenerate = call("verify", "--in", str(INPUTS / "coincident_rational.txt"))
+    assert degenerate.returncode == 3 and "degenerate=12" in degenerate.stdout
+    assert "Traceback" not in degenerate.stderr
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -3,7 +3,10 @@
 Each case in ``golden/cases.json`` names an argv, its exit code and the
 file holding its stdout.  Relative paths in an argv resolve against the
 ``golden`` directory.  The tests never rewrite these files: a change
-that alters output bytes edits them deliberately and says why.
+that alters output bytes edits them deliberately and says why.  CI runs
+the same cases, from the ``golden`` directory, through the installed
+``cycleweights`` script and compares its exit code and stdout bytes too,
+so this list is the one contract list of argument vectors.
 """
 
 import json
@@ -25,6 +28,14 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch):
     expected = (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")
     assert code == case["exit"]
     assert out == expected
+
+
+def test_the_corpus_has_no_orphan_and_no_duplicate_name():
+    names = [c["name"] for c in CASES]
+    assert len(set(names)) == len(names)
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(names)
+    used = {token for c in CASES for token in c["argv"]}
+    assert {f"inputs/{p.name}" for p in (GOLDEN / "inputs").iterdir()} <= used
 
 
 def _reject_constant(name):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cycleweights import geometry
 from cycleweights.cycles import (
     canonicalize, complement_cycle, complement_weight, cycle_weight, enumerate_cycles,
     total_weight,
@@ -14,6 +15,7 @@ from cycleweights.geometry import (
     FLOAT, Configuration, RATIONAL, midpoint, random_config, regular_polygon, squared_distance,
 )
 from cycleweights.pentagon import init_state, quadruple_decomposition, step, trace
+from cycleweights.quadrilateral import identity_terms
 from cycleweights.sequences import BOUND_LIMIT, RATIO_LIMIT
 
 PENTAGON = regular_polygon(5, 1.0)
@@ -143,6 +145,27 @@ def test_quadruple_decomposition_float_pentagon():
     rhs = sum(t.rhs for t in terms)
     assert abs(lhs - (3 * E1 + D1)) <= 1e-9 * 50
     assert abs(rhs - (3 * E1 + D1)) <= 1e-9 * 50
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_quadruple_decomposition_gathers_the_configuration_columns(monkeypatch, mode):
+    # each window is a gather of the configuration's own columns: no point is
+    # coerced, no denominator cleared and no point read back from the columns
+    points = [(0, 0), (Fraction(5, 2), Fraction(1, 4)), (3, 2), (Fraction(-1, 2), Fraction(7, 4)),
+              (Fraction(1, 3), Fraction(-2, 3))]
+    config, pentagram = Configuration(points, mode), canonicalize((0, 2, 4, 1, 3))
+    calls = dict.fromkeys(("columns", "exact_points", "_coerce_point"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(geometry, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    terms = quadruple_decomposition(config, pentagram)
+    assert calls == {"columns": 0, "exact_points": 0, "_coerce_point": 0}
+    monkeypatch.undo()
+    o = pentagram.order
+    windows = [Configuration([points[o[(i + k) % 5]] for k in range(4)], mode) for i in range(5)]
+    assert terms == tuple(identity_terms(w) for w in windows)
 
 
 def test_quadruple_decomposition_validation():
