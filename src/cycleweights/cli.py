@@ -114,7 +114,7 @@ def _configuration(args, n) -> Configuration:
     else the regular n-gon of --polygon and --radius; else the seeded draw of
     --seed, --dim and --mode.  An option the chosen form ignores is refused."""
     if "infile" in args.given:
-        _refuse(args, "--in", "polygon", "radius", "seed", "mode", "dim", "trials")
+        _refuse(args, "--in", "polygon", "radius", "seed", "mode", "dim")
         try:
             if args.infile == "-":
                 text = sys.stdin.read()
@@ -182,14 +182,6 @@ def _cmd_gen(args) -> int:
 # --- verify -----------------------------------------------------------
 
 
-def _trial_count(args) -> int:
-    """The typed --fuzz count; a bare --fuzz holds its const, Ellipsis, and defers to --trials."""
-    if args.fuzz is ...:
-        return args.trials
-    _refuse(args, f"--fuzz {args.fuzz}", "trials")
-    return args.fuzz
-
-
 def _cmd_verify(args) -> int:
     if (args.infile is None) == (args.fuzz is None):
         raise UsageError("provide exactly one of --in or --fuzz")
@@ -204,7 +196,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("--fuzz needs --n")
         _refuse(args, "--fuzz", "duality")
         seed, dim, mode = _draw(args)
-        report = bounds_mod.fuzz(seed, _trial_count(args), args.n, dim, args.tol, mode)
+        report = bounds_mod.fuzz(seed, args.fuzz, args.n, dim, args.tol, mode)
 
     def records():
         yield from (_row_json(r) for r in report.rows)
@@ -245,7 +237,7 @@ def _cmd_identity(args) -> int:
     if args.fuzz is not None:
         _refuse(args, "--fuzz", "pairing")
         seed, dim, mode = _draw(args)
-        rep = quad_mod.fuzz_identity(seed, _trial_count(args), dim, mode, args.tol)
+        rep = quad_mod.fuzz_identity(seed, args.fuzz, dim, mode, args.tol)
         fields = ("trials", "dim", "mode", "checks", "violations", "max_rel_residual")
         _emit(
             args,
@@ -507,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check cycle weights against the spectral interval")
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--fuzz", type=int, nargs="?", const=..., default=None, metavar="TRIALS")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--fuzz", type=int, nargs="?", const=1000, default=None, metavar="TRIALS")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)
@@ -518,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="check the four-point midpoint relation")
     p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--fuzz", type=int, nargs="?", const=..., default=None, metavar="TRIALS")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--fuzz", type=int, nargs="?", const=1000, default=None, metavar="TRIALS")
     p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--pairing", choices=("0", "1", "2", "all"), default="all")
     p.add_argument("--tol", type=_tolerance, default=REL_TOL_DERIVED)

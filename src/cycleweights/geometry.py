@@ -363,10 +363,6 @@ def format_points(config: Configuration) -> str:
     """Render a Configuration in the point-file format (round-trips exactly)."""
     out = [f"points {config.n} dim {config.dim} mode {config.mode}"]
     for p in config.points:
-        out.append(" ".join(_format_scalar(x) for x in p))
+        # str of a float is its repr, the shortest round-trip form
+        out.append(" ".join(map(str, p)))
     return "\n".join(out) + "\n"
-
-
-def _format_scalar(x: Scalar) -> str:
-    # repr of a float is its shortest exact round-trip form
-    return str(x) if isinstance(x, Fraction) else repr(x)

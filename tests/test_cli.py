@@ -148,11 +148,11 @@ def test_verify_fuzz(capsys):
     assert "violations=0" in out
 
 
-def test_verify_trials_flag(capsys):
-    # bare --fuzz takes its count from --trials
-    a = invoke(capsys, "verify", "--fuzz", "--trials", "40", "--n", "4", "--seed", "6")
-    b = invoke(capsys, "verify", "--fuzz", "40", "--n", "4", "--seed", "6")
-    assert a == b and a[0] == 0
+@pytest.mark.parametrize("command", [("verify", "--n", "4"), ("identity",)])
+def test_bare_fuzz_runs_a_thousand_trials(capsys, command):
+    bare = invoke(capsys, *command, "--fuzz")
+    assert bare == invoke(capsys, *command, "--fuzz", "1000")
+    assert bare[0] == 0 and "trials=1000" in bare[1]
 
 
 def test_verify_duality_json(capsys, tmp_path):
@@ -615,11 +615,11 @@ def test_help_exits_zero(capsys):
         ("gen", "--polygon", "--mode", "float"),
         ("gen", "--radius", "2"),
         ("iterate", "--seed", "3", "--radius", "2", "--steps", "2"),
+        ("identity", "--fuzz", "3", "--pairing", "1"),
+        # --trials is no option: a trial count is typed after --fuzz, and it is at least 1
         ("verify", "--in", PENT_FLOAT, "--trials", "5"),
         ("identity", "--in", QUAD_FLOAT, "--trials", "5"),
         ("verify", "--n", "5", "--fuzz", "3", "--trials", "9"),
-        ("identity", "--fuzz", "3", "--pairing", "1"),
-        # a typed count is a count, never the bare --fuzz that defers to --trials
         ("verify", "--n", "5", "--fuzz", "-1"),
         ("identity", "--fuzz", "-1"),
         ("identity", "--fuzz", "-1", "--trials", "2"),
@@ -746,9 +746,9 @@ RESTARTS, BUDGET = _count(-1, 2), _count(-1, 6)
 # stay small so the property costs seconds.
 FLAGS = {
     "gen": {**SEEDED, "--n": _count(1, 11), "--dim": DIM, "--polygon": BARE, "--radius": RADIUS},
-    "verify": {**SEEDED, "--in": IN, "--fuzz": FUZZ, "--trials": _count(-1, 20),
-               "--n": _count(2, 7), "--dim": DIM, "--tol": TOL, "--duality": BARE},
-    "identity": {**SEEDED, "--in": IN, "--fuzz": FUZZ, "--trials": _count(-1, 20), "--dim": DIM,
+    "verify": {**SEEDED, "--in": IN, "--fuzz": FUZZ, "--n": _count(2, 7), "--dim": DIM,
+               "--tol": TOL, "--duality": BARE},
+    "identity": {**SEEDED, "--in": IN, "--fuzz": FUZZ, "--dim": DIM,
                  "--pairing": _value(0, 1, 2, 3, "all"), "--tol": TOL},
     "iterate": {**SEEDED, "--in": IN, "--polygon": BARE, "--radius": RADIUS, "--dim": DIM,
                 "--cycle": _value("0,1,2,3,4", "0,2,4,1,3", "4,0,1,2,3", "0,1,2", "0,0,1,2,3",
@@ -765,7 +765,7 @@ FLAGS = {
 # A lead that gets most examples past the argument checks.  A fuzz run and
 # optimize always take a tiny count: their defaults (1000 trials, 20 restarts
 # x 500 sweeps) take seconds.
-FUZZ_LEAD = _cat(_opt("--fuzz", FUZZ), _opt("--trials", _count(-1, 20)))
+FUZZ_LEAD = _opt("--fuzz", _count(-1, 20))
 LEAD = {
     "verify": st.one_of(_opt("--in", IN), _cat(FUZZ_LEAD, _opt("--n", _count(3, 7)))),
     "identity": st.one_of(_opt("--in", IN), FUZZ_LEAD),

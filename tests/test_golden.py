@@ -47,6 +47,7 @@ def _reject_constant(name):
 def test_json_golden_output_is_strict_json(case):
     text = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
     lines = text.splitlines()
-    assert lines
+    # a usage error prints nothing; any other exit prints at least one object
+    assert bool(lines) == (case["exit"] != 2)
     for line in lines:
         json.loads(line, parse_constant=_reject_constant)
