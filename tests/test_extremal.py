@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -99,6 +100,32 @@ def test_move_slopes_match_full_recompute(raw):
                 # where a move nearly collapses the points
                 assert abs(screened_k - w_k) <= 1e-12 * max(w_k, w_k0)
                 assert abs(screened_e - w_e) <= 1e-12 * max(w_e, w_k0)
+
+
+
+# (evals, rescores, acceptances, halvings, sweeps, best_restart, len(history),
+#  value.hex(), SHA-256 of the history's float.hex() values joined by spaces)
+TRAJECTORIES = {
+    (7, 5, 2, MINIMIZE, 20, 500): (
+        23663, 1562, 1384, 560, 1218, 2, 78, "0x1.1b06d1d200912p-2",
+        "4b92b4581298ae0899601b419a1527d13ec4bacc58115ff2e02ab701f5f755f3"),
+    (7, 7, 2, MAXIMIZE, 20, 500): (
+        37130, 2432, 2224, 560, 1367, 17, 114, "0x1.1615a79a7d146p-1",
+        "311c9e07c5065f58c95b89e311ac45ce160b23140c01c3819b109dfd2dbac450"),
+    (7, 6, 3, MINIMIZE, 20, 500): (
+        55289, 3762, 3456, 560, 1585, 17, 182, "0x1.5555555555554p-3",
+        "b226f5b9f8d9ee521b084c69e5f29f53ec53e6e7f5d2bc2345fe91e7d1d8f387"),
+}
+
+
+@pytest.mark.parametrize("args", TRAJECTORIES, ids=str)
+def test_optimize_trajectory_is_pinned(args):
+    """The search's every decision, bit for bit: the counters are printed
+    nowhere, so a golden file cannot see a screen that decides differently."""
+    res = optimize(*args)
+    history = hashlib.sha256(" ".join(v.hex() for v in res.history).encode()).hexdigest()
+    assert (res.evals, res.rescores, res.acceptances, res.halvings, res.sweeps,
+            res.best_restart, len(res.history), res.value.hex(), history) == TRAJECTORIES[args]
 
 
 @pytest.mark.parametrize("args", [(3, 5, 2, MAXIMIZE, 2, 40), (4, 4, 3, MINIMIZE, 2, 30)])
