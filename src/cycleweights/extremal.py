@@ -27,7 +27,11 @@ only if that confirmed ratio is a strict improvement too, so ``value`` is
 always the ratio of the returned witness and ``history`` is strictly
 monotone.  The ratio is translation- and scale-invariant, so the screen
 needs no normalization; only ulp-level ties can resolve differently from
-rescoring every candidate.
+rescoring every candidate.  A rescore weighs the normalized candidate with
+one kernel call and sums that vector twice: over the identity ring's edges,
+gathered by indices built once per search, for w(E), and whole for w(K_n).
+(Normalizing weighs the unscaled columns too; scaling that vector by s**2
+would save the second call, but not bit for bit.)
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from operator import itemgetter
 from .bounds import classify, spectral_interval
 from .checks import REL_TOL_DERIVED, VIOLATED
 from .cycles import (
-    Cycle, canonicalize, cycle_edges, cycle_sums, cycle_weight, enumerate_cycles, total_weight,
+    Cycle, canonicalize, cycle_sums, cycle_weight, enumerate_cycles, total_weight,
 )
 from .errors import DegenerateError, UsageError
 from .geometry import (
@@ -97,22 +101,12 @@ def ratio(config: Configuration, cycle: Cycle) -> float:
     return cycle_weight(config, cycle) / w_k
 
 
-def _identity_weights(cols) -> tuple:
-    """(w(E), w(K_n)) of coordinate columns, E the identity cycle."""
-    w = column_pair_weights(cols)
-    # the identity cycle 0, 1, ..., n-1 is first in canonical order
-    return ordered_sum(itemgetter(*cycle_edges(len(cols[0]))[0])(w)), ordered_sum(w)
-
-
-def _slopes(col, i: int, col_sum: float) -> tuple:
-    """``(g_k, g_e)`` for moving point i by d in coordinate column ``col``.
-
-    The move changes w(K_n) by ``d * (g_k + (n - 1) * d)`` and the
-    identity-cycle weight by ``d * (g_e + 2 * d)``, where ``col_sum`` is
-    the column's sum and neighbours are taken mod n.
-    """
-    x = col[i]
-    return 2.0 * (len(col) * x - col_sum), 2.0 * (2.0 * x - col[i - 1] - col[(i + 1) % len(col)])
+def _ring_edges(n: int) -> tuple:
+    """Kernel indices of the identity cycle's edges in traversal order, as in
+    ``cycle_edges(n)[0]``: (k, k+1) for k < n-1, then (0, n-1), pair (a, b) at
+    a(2n-a-1)/2 + b-a-1 in ``column_pair_weights`` order."""
+    pairs = [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]
+    return tuple(a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in pairs)
 
 
 def optimize(
@@ -140,6 +134,9 @@ def optimize(
         raise UsageError("sweep budget must be at least 1")
     maximize = objective == MAXIMIZE
     bend_k = n - 1  # curvature of w(K_n) along a move; w(E)'s is 2
+    ring = itemgetter(*_ring_edges(n))
+    # a sweep's moves in order: coordinate j of point i, with i's ring neighbours
+    moves = [(i, j, i - 1, (i + 1) % n) for i in range(n) for j in range(dim)]
     best = None
     total_sweeps = evals = rescores = acceptances = halvings = 0
     for r in range(restarts):
@@ -148,7 +145,8 @@ def optimize(
         pts = normalized_points(start.cols)
         if pts is None:  # unreachable for random draws, but stay safe
             continue
-        w_e, w_k = _identity_weights(pts)
+        w = column_pair_weights(pts)
+        w_e, w_k = ordered_sum(ring(w)), ordered_sum(w)
         value = w_e / w_k
         sums = [ordered_sum(c) for c in pts]
         history = [value]
@@ -157,33 +155,38 @@ def optimize(
         while h >= _H_FLOOR and sweeps < budget:
             sweeps += 1
             improved = False
-            for i in range(n):
-                for j in range(dim):
-                    col = pts[j]
-                    g_k, g_e = _slopes(col, i, sums[j])
-                    for delta in (h, -h):
-                        evals += 1
-                        k = w_k + delta * (g_k + bend_k * delta)
-                        if k <= 0.0:
-                            continue
-                        v = (w_e + delta * (g_e + 2.0 * delta)) / k
-                        if not ((v > value) if maximize else (v < value)):
-                            continue
-                        rescores += 1
-                        moved = col[:]
-                        moved[i] += delta
-                        cand = normalized_points(pts[:j] + [moved] + pts[j + 1:])
-                        if cand is None:
-                            continue
-                        c_e, c_k = _identity_weights(cand)
-                        v = c_e / c_k
-                        if (v > value) if maximize else (v < value):
-                            pts, value, w_e, w_k = cand, v, c_e, c_k
-                            sums = [ordered_sum(c) for c in pts]
-                            history.append(v)
-                            acceptances += 1
-                            improved = True
-                            break
+            # (d, bend_k*d, 2d) for d = +h, -h: the negations are exact
+            k_h, e_h = bend_k * h, 2.0 * h
+            steps = ((h, k_h, e_h), (-h, -k_h, -e_h))
+            for i, j, before, after in moves:
+                col = pts[j]
+                x = col[i]
+                g_k = 2.0 * (n * x - sums[j])
+                g_e = 2.0 * (2.0 * x - col[before] - col[after])
+                for delta, bend_kd, bend_ed in steps:
+                    evals += 1
+                    k = w_k + delta * (g_k + bend_kd)
+                    if k <= 0.0:
+                        continue
+                    v = (w_e + delta * (g_e + bend_ed)) / k
+                    if not ((v > value) if maximize else (v < value)):
+                        continue
+                    rescores += 1
+                    moved = col[:]
+                    moved[i] += delta
+                    cand = normalized_points(pts[:j] + [moved] + pts[j + 1:])
+                    if cand is None:
+                        continue
+                    w = column_pair_weights(cand)
+                    c_e, c_k = ordered_sum(ring(w)), ordered_sum(w)
+                    v = c_e / c_k
+                    if (v > value) if maximize else (v < value):
+                        pts, value, w_e, w_k = cand, v, c_e, c_k
+                        sums = [ordered_sum(c) for c in pts]
+                        history.append(v)
+                        acceptances += 1
+                        improved = True
+                        break
             if not improved:
                 h *= 0.5
                 halvings += 1

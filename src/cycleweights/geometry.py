@@ -96,13 +96,17 @@ def column_pair_weights(cols, batch: int = 1) -> list:
     """The one weight kernel: every pair's squared distance in the package's one
     pair order, (i, j) with i < j, where ``cols[k][i]`` is coordinate k of point i.
     Entry (i, j) is d0*d0 + d1*d1 (+ d2*d2), as :func:`squared_distance` sums from 0.
-    The columns may hold ``batch`` configurations end to end, point t*n + i
-    being point i of configuration t; their pair vectors come back end to end."""
+    There are 2 or 3 columns, summed in one pass.  The columns may hold ``batch``
+    configurations end to end, point t*n + i being point i of configuration t;
+    their pair vectors come back end to end."""
     ga, gb = _pair_gathers(len(cols[0]) // batch, batch)
-    w = [(d := x - y) * d for x, y in zip(ga(cols[0]), gb(cols[0]))]
-    for c in cols[1:]:
-        w = [v + (d := x - y) * d for v, x, y in zip(w, ga(c), gb(c))]
-    return w
+    if len(cols) == 2:
+        c0, c1 = cols
+        return [(d := x0 - y0) * d + (e := x1 - y1) * e
+                for x0, y0, x1, y1 in zip(ga(c0), gb(c0), ga(c1), gb(c1))]
+    c0, c1, c2 = cols
+    return [(d := x0 - y0) * d + (e := x1 - y1) * e + (f := x2 - y2) * f
+            for x0, y0, x1, y1, x2, y2 in zip(ga(c0), gb(c0), ga(c1), gb(c1), ga(c2), gb(c2))]
 
 
 def columns(points, mode: str) -> tuple:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cycleweights import extremal
 from cycleweights import bounds
 from cycleweights.bounds import spectral_interval
-from cycleweights.cycles import canonicalize, complement_cycle
+from cycleweights.cycles import canonicalize, complement_cycle, cycle_edges
 from cycleweights.errors import DegenerateError, UsageError
 from cycleweights.extremal import (
     MAXIMIZE,
@@ -18,7 +18,8 @@ from cycleweights.extremal import (
     ratio,
 )
 from cycleweights.geometry import (
-    Configuration, normalized_points, ordered_sum, random_config, regular_polygon,
+    Configuration, column_pair_weights, normalized_points, ordered_sum, random_config,
+    regular_polygon,
 )
 
 K5_LOWER, K5_UPPER = (5 - math.sqrt(5)) / 10, (5 + math.sqrt(5)) / 10
@@ -79,21 +80,31 @@ def test_optimize_reaches_closed_form(n, dim, objective):
         assert res.within_bounds is True and res.bound == spectral_interval(n)
 
 
+def _identity_weights(cols):
+    """(w(E), w(K_n)) from one kernel vector, E the identity cycle."""
+    w = column_pair_weights(cols)
+    return ordered_sum(w[e] for e in cycle_edges(len(cols[0]))[0]), ordered_sum(w)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 7).flatmap(lambda n: st.lists(
     st.lists(st.floats(-1, 1), min_size=n, max_size=n), min_size=2, max_size=3)))
 def test_move_slopes_match_full_recompute(raw):
+    """The optimizer's screen: moving point i by d in column ``col`` changes
+    w(K_n) by d * (g_k + (n - 1) * d) and w(E) by d * (g_e + 2 * d)."""
     cols = normalized_points(raw)
     assume(cols is not None)
     n = len(cols[0])
-    w_e0, w_k0 = extremal._identity_weights(cols)
+    w_e0, w_k0 = _identity_weights(cols)
     for i in range(n):
         for j, col in enumerate(cols):
-            g_k, g_e = extremal._slopes(col, i, ordered_sum(col))
+            x = col[i]
+            g_k = 2.0 * (n * x - ordered_sum(col))
+            g_e = 2.0 * (2.0 * x - col[i - 1] - col[(i + 1) % n])
             for delta in (0.25, -0.25, 1e-3, -1e-3, 1e-9, -1e-9):
                 moved = col[:]
                 moved[i] += delta
-                w_e, w_k = extremal._identity_weights(cols[:j] + [moved] + cols[j + 1:])
+                w_e, w_k = _identity_weights(cols[:j] + [moved] + cols[j + 1:])
                 screened_k = w_k0 + delta * (g_k + (n - 1) * delta)
                 screened_e = w_e0 + delta * (g_e + 2 * delta)
                 # relative to the recomputed weight, or to the unmoved w(K_n) = 1
@@ -101,6 +112,10 @@ def test_move_slopes_match_full_recompute(raw):
                 assert abs(screened_k - w_k) <= 1e-12 * max(w_k, w_k0)
                 assert abs(screened_e - w_e) <= 1e-12 * max(w_e, w_k0)
 
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_ring_edges_are_the_identity_cycles(n):
+    assert extremal._ring_edges(n) == cycle_edges(n)[0]
 
 
 # (evals, rescores, acceptances, halvings, sweeps, best_restart, len(history),
